@@ -406,13 +406,8 @@ def compile_with_fallback(source: str, workdir: Path,
     raises :class:`PermanentCompileError` once the whole ladder is
     exhausted.
 
-    **Learned rung ordering** (DESIGN.md §15): every settled rung's
-    verdict is recorded in the policy table under the kernel's family
-    (derived from ``name``), and under ``REPRO_POLICY=learned`` the
-    walk visits rungs in learned link-success order — a family whose
-    icc rung always fails jumps straight to the rung that links.  At
-    ``off`` (and on a cold table) the fixed icc→gcc→clang / O3→O2→
-    minimal-ISA order is preserved exactly.
+    Every settled rung's verdict is recorded in the policy table under
+    the kernel's family (derived from ``name``; DESIGN.md §15).
     """
     ccs = list(compilers) if compilers is not None \
         else list(compiler_chain())
@@ -425,13 +420,6 @@ def compile_with_fallback(source: str, workdir: Path,
         for rung, fl in flag_ladder(cc, isas, required)]
     family = policy.family_of(name)
     table = policy.get_policy() if policy.recording() else None
-    if table is not None and policy.acting():
-        choice_ids = [f"{cc.name}/{rung}" for cc, rung, _fl in rungs]
-        order = table.rank(family, "ladder", choice_ids)
-        obs.counter("policy.decisions", kind="ladder")
-        if order != list(range(len(rungs))):
-            obs.counter("policy.overrides", kind="ladder")
-        rungs = [rungs[i] for i in order]
 
     last: CompileError | None = None
     invocations = 0

@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None  # type: ignore[assignment]
 
 import repro.obs as obs
-from repro.core import faults, policy
+from repro.core import faults
 from repro.core.env import env_float, env_int
 from repro.core.procutil import pid_alive
 from repro.lms.defs import Block, Stm
@@ -208,11 +208,7 @@ class DiskKernelCache:
     shards by (hits, recency): every ``get`` records a hit count in the
     manifest (and touches it), and eviction drops the least-hit entries
     first, manifest mtime breaking ties.  Victims are dropped
-    shard-by-shard under each shard's lock.  Under
-    ``REPRO_POLICY=learned`` the ranking switches to a *decayed* hit
-    history (half-life ``REPRO_CACHE_HALF_LIFE`` seconds), so a
-    formerly-hot-now-dead kernel can actually be evicted ahead of a
-    currently-warm one (DESIGN.md §15).
+    shard-by-shard under each shard's lock.
 
     **Batched hit write-back.**  Persisting the hit count used to cost
     a write+fsync+rename on every ``get``; hits are now accumulated in
@@ -444,14 +440,6 @@ class DiskKernelCache:
             shard.mkdir(parents=True, exist_ok=True)
             meta = dict(meta)
             meta["checksum"] = hashlib.sha256(so_bytes).hexdigest()
-            if policy.recording():
-                # one unit of decayed history at publication: the
-                # compile that produced this artifact was itself
-                # demanded, so under learned eviction a fresh entry
-                # outranks a formerly-hot key whose decayed history
-                # has already died (raw-hits ranking is unchanged)
-                meta.setdefault("hist", 1.0)
-                meta.setdefault("hist_at", time.time())
             # Injected torn writes / media corruption mangle the payload
             # *after* the checksum is computed, exactly like a real torn
             # write: the manifest promises bytes the disk does not hold,
@@ -479,29 +467,13 @@ class DiskKernelCache:
     # -- batched hit write-back ----------------------------------------
 
     @staticmethod
-    def _half_life() -> float:
-        return env_float("REPRO_CACHE_HALF_LIFE", 300.0, minimum=0.01)
-
-    def _stamp_hits(self, meta: dict, count: int) -> None:
-        """Fold ``count`` freshly-observed hits into ``meta`` in place:
-        the raw lifetime counter always, plus — while the policy layer
-        is recording — the exponentially-decayed history pair
-        (``hist``, ``hist_at``) that learned eviction ranks by."""
+    def _stamp_hits(meta: dict, count: int) -> None:
+        """Fold ``count`` freshly-observed hits into ``meta["hits"]``
+        in place."""
         try:
             meta["hits"] = int(meta.get("hits", 0)) + count
         except (TypeError, ValueError):
             meta["hits"] = count
-        if not policy.recording():
-            return
-        now = time.time()
-        try:
-            hist = float(meta.get("hist", 0.0))
-            hist_at = float(meta.get("hist_at", now))
-        except (TypeError, ValueError):
-            hist, hist_at = 0.0, now
-        age = max(0.0, now - hist_at)
-        meta["hist"] = hist * 0.5 ** (age / self._half_life()) + count
-        meta["hist_at"] = now
 
     def _flush_key_locked(self, key: str, count: int) -> None:
         """Fold ``count`` pending hits into ``key``'s manifest (caller
@@ -571,10 +543,7 @@ class DiskKernelCache:
         evicting by (hits, recency): the coldest entries go first, and
         recency only breaks ties between equally-unpopular entries —
         a once-written never-read artifact loses to a hot kernel no
-        matter how recently it was published.  Under
-        ``REPRO_POLICY=learned`` the rank is the decayed hit history
-        instead of the raw lifetime counter, so popularity that died
-        ``REPRO_CACHE_HALF_LIFE`` seconds ago no longer pins an entry.
+        matter how recently it was published.
 
         The full read-and-rank pass used to run on *every* put; a
         name-only census now gates it, so a store under its bound
@@ -591,31 +560,18 @@ class DiskKernelCache:
         # rank on persisted counts: fold batched hits in first
         self._flush_hits_locked()
         obs.counter("cache.disk.evict_scans")
-        learned = policy.acting()
-        now = time.time()
-        half_life = self._half_life()
-        entries: list[tuple[float, float, Path]] = []
+        entries: list[tuple[int, float, Path]] = []
         for shard in self._shards():
             try:
                 for meta_path in shard.glob("*.json"):
                     mtime = meta_path.stat().st_mtime
                     try:
-                        meta = json.loads(meta_path.read_text())
-                        hits = int(meta.get("hits", 0))
+                        hits = int(json.loads(
+                            meta_path.read_text()).get("hits", 0))
                     except (OSError, ValueError, TypeError,
                             AttributeError):
-                        meta, hits = {}, 0  # unreadable: evict first
-                    if learned:
-                        try:
-                            hist = float(meta.get("hist", hits))
-                            hist_at = float(meta.get("hist_at", mtime))
-                        except (TypeError, ValueError):
-                            hist, hist_at = float(hits), mtime
-                        age = max(0.0, now - hist_at)
-                        rank = hist * 0.5 ** (age / half_life)
-                    else:
-                        rank = float(hits)
-                    entries.append((rank, mtime, meta_path))
+                        hits = 0  # unreadable: evict first
+                    entries.append((hits, mtime, meta_path))
             except OSError:
                 continue
         excess = len(entries) - self.max_entries
@@ -713,13 +669,6 @@ class KernelCache:
     is counted when ``get_for`` comes back empty (the caller will
     compile); ``put_for`` only stores.  The ``disk`` property exposes
     the persistent artifact tier rooted at the current ``cache_root()``.
-
-    Under ``REPRO_POLICY=learned`` eviction switches from pure LRU to
-    a decayed-hit score (each access adds 1, prior score decays by
-    ``REPRO_POLICY_DECAY`` per global access tick), so one old burst
-    of hits cannot pin an entry forever, and a steadily-warm kernel
-    survives a one-shot scan that would have rotated it out of the LRU.
-    At ``REPRO_POLICY=off`` eviction is byte-for-byte the old LRU.
     """
 
     def __init__(self, maxsize: int | None = None) -> None:
@@ -730,9 +679,6 @@ class KernelCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._disk: DiskKernelCache | None = None
-        # decayed-hit history per key: (score, tick-of-last-access)
-        self._tick = 0
-        self._scores: dict[tuple[str, str], tuple[float, int]] = {}
 
     @property
     def disk(self) -> DiskKernelCache:
@@ -741,33 +687,6 @@ class KernelCache:
             if self._disk is None or self._disk.root != root:
                 self._disk = DiskKernelCache(root=root)
             return self._disk
-
-    def _bump_locked(self, key: tuple[str, str]) -> None:
-        """Decayed-hit bookkeeping: prior score decays one notch per
-        global access tick, then the fresh access adds 1."""
-        self._tick += 1
-        d = policy.decay()
-        score, at = self._scores.get(key, (0.0, self._tick))
-        self._scores[key] = \
-            (score * d ** (self._tick - at) + 1.0, self._tick)
-
-    def _coldest_locked(self, exclude: tuple[str, str]
-                        ) -> tuple[str, str]:
-        """The resident key with the lowest decayed score; insertion
-        order breaks ties (deterministic, matches LRU on a cold table).
-        ``exclude`` shields the just-inserted key — like LRU, a fresh
-        entry is never its own eviction victim."""
-        d = policy.decay()
-        best_key = None
-        best_score: float | None = None
-        for key in self._kernels:
-            if key == exclude:
-                continue
-            score, at = self._scores.get(key, (0.0, self._tick))
-            current = score * d ** (self._tick - at)
-            if best_score is None or current < best_score:
-                best_key, best_score = key, current
-        return best_key if best_key is not None else exclude
 
     def get_for(self, staged: StagedFunction, backend: str):
         key = (graph_hash(staged), backend)
@@ -778,8 +697,6 @@ class KernelCache:
             else:
                 self.hits += 1
                 self._kernels.move_to_end(key)
-                if policy.recording():
-                    self._bump_locked(key)
         obs.counter("cache.mem.hits" if kernel is not None
                     else "cache.mem.misses")
         return kernel
@@ -787,32 +704,17 @@ class KernelCache:
     def put_for(self, staged: StagedFunction, backend: str,
                 kernel: object) -> None:
         key = (graph_hash(staged), backend)
-        evicted_learned = 0
         with self._lock:
             self._kernels[key] = kernel
             self._kernels.move_to_end(key)
-            if policy.recording():
-                self._bump_locked(key)
             while len(self._kernels) > self._maxsize:
-                if policy.acting():
-                    victim = self._coldest_locked(exclude=key)
-                    self._kernels.pop(victim, None)
-                    self._scores.pop(victim, None)
-                    evicted_learned += 1
-                else:
-                    dropped, _ = self._kernels.popitem(last=False)
-                    self._scores.pop(dropped, None)
-        if evicted_learned:
-            obs.counter("cache.mem.evictions", evicted_learned,
-                        mode="learned")
+                self._kernels.popitem(last=False)
 
     def clear(self) -> None:
         """Drop the in-memory tier (the disk tier is untouched, but
         its batched hit counts are flushed first)."""
         with self._lock:
             self._kernels.clear()
-            self._scores.clear()
-            self._tick = 0
             self.hits = 0
             self.misses = 0
             disk, self._disk = self._disk, None

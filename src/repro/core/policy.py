@@ -1,50 +1,32 @@
-"""Learned, history-weighted policies for adaptive pipeline decisions.
+"""Observe-mode outcome recorder for the pipeline's fixed decisions.
 
-Every adaptive decision in the pipeline used to be a fixed constant:
-the compiler ladder walked icc→gcc→clang / O3→O2→minimal-ISA in the
-same doomed order for every kernel, ``REPRO_TIER=hot`` promoted at a
-hard-coded call count, the backend prober paid for a native attempt on
-families that quarantine every time, and both cache tiers evicted by
-``(hits, recency)`` with no notion of *future* value.  This module is
-the shared learning substrate behind all four decision points
-(DESIGN.md §15): a thread-safe **bit-history table** keyed by
-``(kernel_family, decision_kind, choice)``.
+The pipeline's decisions are fixed: the compiler ladder walks
+icc→gcc→clang / O3→O2→minimal-ISA in order, ``REPRO_TIER=hot``
+promotes at :func:`~repro.core.tiered.hot_threshold`, the backend
+probe always runs for ``backend="auto"``, and each cache tier evicts
+by one rank (DESIGN.md §15).  This module only *records* how those
+decisions turn out, in a thread-safe **bit-history table** keyed by
+``(kernel_family, decision_kind, choice)``, and exports the records as
+``policy.*`` counters.  It never changes a decision.
 
 * **Bit history.**  Each entry is a fixed-width 64-bit shift register
   of recent success/failure observations (bit 0 = most recent).  The
-  score is a recency-weighted popcount: ``sum(bit_i * decay**i) /
-  sum(decay**i)`` over the observed window, so one old success cannot
-  outrank a streak of recent failures, and history older than 64
+  score is a recency-weighted popcount: ``sum(bit_i * DECAY**i) /
+  sum(DECAY**i)`` over the observed window, and history older than 64
   observations falls off the end (saturation).
-* **Deterministic ranking.**  ``rank`` orders choices by score
-  (unobserved choices take the neutral prior 0.5) with deterministic
-  tie-breaking: ties keep the caller's fixed order, unless
-  ``REPRO_POLICY_SEED`` is set to a non-zero value, in which case ties
-  break by a seeded keyed hash — stable across processes with the same
-  seed.  A cold table therefore reproduces the fixed ordering exactly.
-* **Mode gating.**  ``REPRO_POLICY`` is ``off`` (record nothing, act
-  on nothing — bit-for-bit the fixed pipeline), ``observe`` (the
-  default: record outcomes and export counters, never change a
-  decision), or ``learned`` (record *and* act).
+* **Mode gating.**  ``REPRO_POLICY`` is ``off`` (record nothing) or
+  ``observe`` (the default: record outcomes and export counters).
 * **Crash-safe persistence.**  Tables live under
   ``REPRO_CACHE_DIR/policy/policy.json`` with the same
   write-fsync-rename discipline as the disk kernel cache, flushed
   every ``_FLUSH_EVERY`` records and at interpreter exit.  A torn or
-  corrupt file is a clean cold start, never a crash.  Because the
-  serve daemon and its clients share one ``REPRO_CACHE_DIR``, history
-  learned by the daemon's compiles is shared with every tenant.
-
-Policy decisions are bit-transparent by construction: they reorder
-*when and how* native code arrives (ladder order, promotion timing,
-eviction victims) and never change computed results — every ladder
-rung is exactness-preserving, so the differential suites must pass
-unchanged at ``REPRO_POLICY=learned``.
+  corrupt file is a clean cold start, never a crash; fields this
+  version does not read are ignored.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import json
 import os
 import threading
@@ -52,56 +34,35 @@ import warnings
 from pathlib import Path
 
 import repro.obs as obs
-from repro.core.env import env_float, env_int
 
 __all__ = [
+    "DECAY",
     "MODES",
     "BitHistory",
     "PolicyTable",
-    "decay",
     "family_of",
     "get_policy",
-    "learned_hot_threshold",
-    "native_backend_gate",
     "policy_mode",
-    "policy_seed",
     "recording",
-    "acting",
     "reset_tables",
 ]
 
-MODES = ("off", "observe", "learned")
+MODES = ("off", "observe")
 
 _HISTORY_BITS = 64
 _MASK = (1 << _HISTORY_BITS) - 1
 
-#: Score assigned to a never-observed choice when ranking: neutral, so
-#: proven-good choices rise above it and proven-bad ones sink below.
-NEUTRAL_PRIOR = 0.5
-
-#: Observations required before a learned decision may *override* the
-#: fixed behaviour (backend gate, tier deferral) — one unlucky sample
-#: must not flip a decision.
-MIN_OBSERVATIONS = 4
-
-#: Success-rate floor below which the native backend probe (and the
-#: hot-tier promotion) is considered a waste of a compile.
-FAILURE_FLOOR = 0.25
-
-#: The compile-cost pivot for the learned hot threshold: a family whose
-#: measured native acquisition costs exactly this many seconds keeps
-#: the configured base threshold; cheaper families promote earlier,
-#: more expensive ones later (clamped to [1, 8 * base]).
-COST_PIVOT_S = 1.0
+#: Per-observation decay of the bit-history weighting.
+DECAY = 0.9
 
 _FLUSH_EVERY = 32
 
-_MODE_CODES = {"off": 0, "observe": 1, "learned": 2}
+_MODE_CODES = {"off": 0, "observe": 1}
 
 
 def policy_mode() -> str:
-    """The policy gate (``REPRO_POLICY``): ``off`` | ``observe``
-    (default) | ``learned``."""
+    """The recorder gate (``REPRO_POLICY``): ``off`` | ``observe``
+    (default)."""
     raw = os.environ.get("REPRO_POLICY")
     if raw is None or not raw.strip():
         return "observe"
@@ -115,27 +76,8 @@ def policy_mode() -> str:
 
 
 def recording() -> bool:
-    """Whether outcomes are recorded (``observe`` and ``learned``)."""
+    """Whether outcomes are recorded (``observe``)."""
     return policy_mode() != "off"
-
-
-def acting() -> bool:
-    """Whether learned scores may change decisions (``learned`` only)."""
-    return policy_mode() == "learned"
-
-
-def policy_seed() -> int:
-    """Tie-break seed (``REPRO_POLICY_SEED``, default 0).  Zero keeps
-    ties in the caller's fixed order; any other value breaks ties by a
-    seeded keyed hash, deterministic across processes."""
-    return env_int("REPRO_POLICY_SEED", 0)
-
-
-def decay() -> float:
-    """Per-observation decay of the bit-history weighting
-    (``REPRO_POLICY_DECAY``, default 0.9, clamped to [0.01, 0.999])."""
-    value = env_float("REPRO_POLICY_DECAY", 0.9, minimum=0.01)
-    return min(value, 0.999)
 
 
 def family_of(name: str) -> str:
@@ -183,40 +125,25 @@ class BitHistory:
         return {"bits": self.bits, "n": self.n}
 
 
-def _tie_hash(seed: int, family: str, kind: str, choice: str) -> int:
-    digest = hashlib.blake2b(
-        f"{seed}\x1f{family}\x1f{kind}\x1f{choice}".encode(),
-        digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 class PolicyTable:
-    """The thread-safe bit-history table behind every learned decision.
+    """The thread-safe bit-history table of recorded outcomes.
 
     ``record`` shifts one success/failure bit into the entry for
     ``(family, kind, choice)``; ``score`` reads its decayed success
-    probability; ``rank`` orders a fixed candidate list by score with
-    deterministic ties.  ``record_value``/``value`` keep an auxiliary
-    EWMA per ``(family, kind)`` — the measured compile cost feeding the
-    learned hot threshold.  Everything persists to ``<dir>/policy.json``
+    rate.  Everything persists to ``<dir>/policy.json``
     (write-fsync-rename); concurrent writers are last-writer-wins,
-    which is acceptable because each process's table converges on the
-    same traffic and the file is advisory history, not a ledger.
+    which is acceptable because the file is advisory history, not a
+    ledger.
     """
-
-    _EWMA_ALPHA = 0.3
 
     def __init__(self, directory: str | Path | None) -> None:
         self.directory = Path(directory) if directory is not None else None
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], BitHistory] = {}
-        self._values: dict[tuple[str, str], tuple[float, int]] = {}
         self._dirty = 0
         if self.directory is not None:
             self._load()
         obs.gauge("policy.mode", _MODE_CODES[policy_mode()])
-
-    # -- recording -----------------------------------------------------
 
     def record(self, family: str, kind: str, choice: str,
                success: bool) -> None:
@@ -234,74 +161,10 @@ class PolicyTable:
         if should_flush:
             self.flush()
 
-    def record_value(self, family: str, kind: str, value: float) -> None:
-        """Fold ``value`` into the (family, kind) EWMA (e.g. measured
-        native-acquisition seconds for the learned hot threshold)."""
-        with self._lock:
-            prev = self._values.get((family, kind))
-            if prev is None:
-                self._values[(family, kind)] = (float(value), 1)
-            else:
-                mean, n = prev
-                alpha = self._EWMA_ALPHA
-                self._values[(family, kind)] = (
-                    (1.0 - alpha) * mean + alpha * float(value), n + 1)
-            self._dirty += 1
-            should_flush = self._dirty >= _FLUSH_EVERY
-        if should_flush:
-            self.flush()
-
-    # -- reading -------------------------------------------------------
-
     def score(self, family: str, kind: str, choice: str) -> float | None:
         with self._lock:
             entry = self._entries.get((family, kind, choice))
-        return entry.score(decay()) if entry is not None else None
-
-    def observations(self, family: str, kind: str, choice: str) -> int:
-        with self._lock:
-            entry = self._entries.get((family, kind, choice))
-        return entry.n if entry is not None else 0
-
-    def value(self, family: str, kind: str) -> float | None:
-        with self._lock:
-            stored = self._values.get((family, kind))
-        return stored[0] if stored is not None else None
-
-    def rank(self, family: str, kind: str,
-             choices: list[str] | tuple[str, ...]) -> list[int]:
-        """A permutation of ``range(len(choices))``: highest learned
-        score first, ties deterministic (fixed order, or seeded hash
-        when ``REPRO_POLICY_SEED`` is non-zero).  A cold table returns
-        the identity permutation."""
-        d = decay()
-        seed = policy_seed()
-        with self._lock:
-            scores = []
-            for choice in choices:
-                entry = self._entries.get((family, kind, choice))
-                s = entry.score(d) if entry is not None else None
-                scores.append(NEUTRAL_PRIOR if s is None else s)
-
-        def sort_key(idx: int):
-            tie = _tie_hash(seed, family, kind, choices[idx]) \
-                if seed else 0
-            return (-scores[idx], tie, idx)
-
-        return sorted(range(len(choices)), key=sort_key)
-
-    def snapshot(self) -> dict:
-        """A JSON-ready view of every entry (debugging / the report)."""
-        d = decay()
-        with self._lock:
-            entries = [
-                {"family": fam, "kind": kind, "choice": choice,
-                 "n": e.n, "score": e.score(d)}
-                for (fam, kind, choice), e in sorted(self._entries.items())]
-            values = [
-                {"family": fam, "kind": kind, "value": v, "n": n}
-                for (fam, kind), (v, n) in sorted(self._values.items())]
-        return {"entries": entries, "values": values}
+        return entry.score(DECAY) if entry is not None else None
 
     # -- persistence ---------------------------------------------------
 
@@ -328,14 +191,10 @@ class PolicyTable:
                        str(item["choice"]))
                 self._entries[key] = BitHistory(int(item["bits"]),
                                                 int(item["n"]))
-            for item in state.get("values", []):
-                self._values[(str(item["family"]), str(item["kind"]))] = (
-                    float(item["value"]), int(item.get("n", 1)))
         except (KeyError, TypeError, ValueError):
             # torn write or foreign schema: clean cold start, and the
             # next flush overwrites the debris
             self._entries.clear()
-            self._values.clear()
             obs.counter("policy.load", outcome="corrupt")
             return
         obs.counter("policy.load", outcome="ok")
@@ -357,10 +216,6 @@ class PolicyTable:
                      **entry.to_state()}
                     for (fam, kind, choice), entry
                     in sorted(self._entries.items())],
-                "values": [
-                    {"family": fam, "kind": kind, "value": v, "n": n}
-                    for (fam, kind), (v, n)
-                    in sorted(self._values.items())],
             }).encode()
             self._dirty = 0
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -442,67 +297,3 @@ def _flush_at_exit() -> None:  # pragma: no cover - exit path
             table.flush()
         except Exception:  # noqa: BLE001 - never fail interpreter exit
             pass
-
-
-# ---------------------------------------------------------------------------
-# Decision helpers: the four wired-in policy consumers call these.
-
-def native_backend_gate(family: str) -> str | None:
-    """A reason to *skip* the native backend probe for ``family``, or
-    ``None`` to proceed.
-
-    Only consulted in ``learned`` mode and only for ``backend="auto"``
-    requests: a family whose native acquisition has failed (quarantine,
-    ladder exhaustion, link failure) in at least
-    :data:`MIN_OBSERVATIONS` recent attempts with a decayed success
-    rate below :data:`FAILURE_FLOOR` stops paying the probe tax and is
-    served by the simulator immediately.  Fresh successes recorded by
-    the tiered path re-open the gate as the history re-weights.
-    """
-    table = get_policy()
-    score = table.score(family, "backend", "native")
-    nobs = table.observations(family, "backend", "native")
-    obs.counter("policy.decisions", kind="backend")
-    if score is not None and nobs >= MIN_OBSERVATIONS \
-            and score < FAILURE_FLOOR:
-        obs.counter("policy.overrides", kind="backend")
-        return (f"policy: family {family!r} native success rate "
-                f"{score:.2f} over {nobs} recent attempts; "
-                f"skipping native probe")
-    return None
-
-
-def learned_hot_threshold(family: str, base: int) -> tuple[int, str]:
-    """The promotion threshold for a ``hot``-tier kernel of ``family``.
-
-    Replaces the fixed ``REPRO_HOT_THRESHOLD`` with a learned score:
-    the threshold scales with the family's measured native-acquisition
-    cost relative to :data:`COST_PIVOT_S` (cheap-to-compile
-    frequently-called kernels promote early, expensive ones later),
-    clamped to ``[1, 8 * base]``; a family whose promotions mostly
-    *fail* (decayed success below :data:`FAILURE_FLOOR` over at least
-    :data:`MIN_OBSERVATIONS` observations) is pinned to the ceiling so
-    it stays on the simulator unless traffic insists.  An open circuit
-    breaker still wins: admission control runs at promote time,
-    downstream of this gate.  Returns ``(threshold, note)``.
-    """
-    table = get_policy()
-    cost = table.value(family, "compile_cost")
-    threshold = base
-    parts = []
-    if cost is not None:
-        threshold = max(1, min(base * 8,
-                               round(base * (cost / COST_PIVOT_S))))
-        parts.append(f"acquire cost ~{cost * 1e3:.0f} ms")
-    score = table.score(family, "tier", "promote")
-    nobs = table.observations(family, "tier", "promote")
-    if score is not None and nobs >= MIN_OBSERVATIONS \
-            and score < FAILURE_FLOOR:
-        threshold = base * 8
-        parts.append(f"promote success {score:.2f} over {nobs} obs")
-    obs.counter("policy.decisions", kind="tier")
-    if threshold != base:
-        obs.counter("policy.overrides", kind="tier")
-    note = (f"policy: hot threshold {threshold} (base {base}"
-            + (", " + ", ".join(parts) if parts else "") + ")")
-    return threshold, note

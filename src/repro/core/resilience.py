@@ -33,6 +33,7 @@ import ctypes
 import faulthandler
 import hashlib
 import os
+import select
 import signal
 import sys
 import threading
@@ -353,30 +354,41 @@ def smoke_test_artifact(artifact: NativeArtifact,
         finally:
             os._exit(code)
     os.close(write_fd)
+    status: int | None = None
+    detail = b""
     try:
+        # The child's exit closes the last write end, so EOF on the
+        # pipe means it is done; select() sleeps until then.
         deadline = time.monotonic() + timeout
-        status: int | None = None
-        while True:
+        eof = False
+        while not eof:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            ready, _, _ = select.select([read_fd], [], [], remaining)
+            if not ready:
+                continue
+            try:
+                chunk = os.read(read_fd, 4096)
+            except OSError:
+                chunk = b""
+            detail += chunk
+            eof = not chunk
+        if eof:
+            status = os.waitpid(pid, 0)[1]
+        else:
+            # A smoke child forked by another thread may hold a copy
+            # of the write end: a child that already exited is no
+            # timeout.
             wpid, wstatus = os.waitpid(pid, os.WNOHANG)
             if wpid == pid:
                 status = wstatus
-                break
-            if time.monotonic() > deadline:
+            else:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except OSError:
                     pass
                 os.waitpid(pid, 0)
-                break
-        detail = b""
-        try:
-            while True:
-                chunk = os.read(read_fd, 4096)
-                if not chunk:
-                    break
-                detail += chunk
-        except OSError:
-            pass
     finally:
         os.close(read_fd)
 

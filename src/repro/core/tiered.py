@@ -455,24 +455,10 @@ class KernelManager:
     def manage(self, kernel, mode: str) -> None:
         """Install the tiered call path on a fresh simulated-tier
         kernel.  ``async`` promotes immediately; ``hot`` arms the
-        invocation countdown.
-
-        Under ``REPRO_POLICY=learned`` the ``hot`` countdown is not the
-        fixed :func:`hot_threshold` but a per-family learned value:
-        cheap-to-compile families promote after fewer calls, expensive
-        or promotion-failing ones later (DESIGN.md §15).  Admission
-        control — the circuit breaker, the queue bound — stays
-        downstream in :meth:`promote`, so an open breaker always wins
-        over any learned eagerness."""
+        invocation countdown at :func:`hot_threshold`."""
         kernel._record_tier_event("start", "simulated",
                                   detail=f"mode={mode}")
         countdown = None if mode == "async" else hot_threshold()
-        if countdown is not None and policy.acting():
-            family = policy.family_of(kernel.staged.name)
-            countdown, note = policy.learned_hot_threshold(
-                family, countdown)
-            if note:
-                kernel._policy_note(note)
         kernel._impl = SimulatedDispatch(kernel, self, countdown)
         obs.counter("tiered.managed", mode=mode)
         if mode == "async":
@@ -580,12 +566,9 @@ class KernelManager:
             self.breaker.record_other(probe=job.is_probe)
         duration = time.perf_counter() - start
         if policy.recording():
-            # the learned tier policy feeds on both halves: how long
-            # this family's compiles take, and whether promotion lands
-            table = policy.get_policy()
-            family = policy.family_of(staged.name)
-            table.record_value(family, "compile_cost", duration)
-            table.record(family, "tier", "promote", native is not None)
+            policy.get_policy().record(policy.family_of(staged.name),
+                                       "tier", "promote",
+                                       native is not None)
         obs.observe("tiered.compile.seconds", duration)
         trace = obs.get_tracer().spans_for_trace(trace_id) \
             if trace_id is not None else []

@@ -150,14 +150,14 @@ def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
     return lines
 
 
-_POLICY_MODE_NAMES = {0: "off", 1: "observe", 2: "learned"}
+_POLICY_MODE_NAMES = {0: "off", 1: "observe"}
 
 
 def _policy_summary(counters: Mapping[str, float],
                     gauges: Mapping[str, float]) -> list[str]:
-    """Learned-policy activity (see :mod:`repro.core.policy`): the
-    standing rows always print (zeros included), then per-kind decision
-    and override totals and the per-choice outcome table."""
+    """Outcome-recorder activity (see :mod:`repro.core.policy`): the
+    standing rows always print (zeros included), then the per-choice
+    outcome table."""
     lines: list[str] = []
     mode = gauges.get("policy.mode")
     if mode is not None:
@@ -166,13 +166,6 @@ def _policy_summary(counters: Mapping[str, float],
     records = sum(value for cell, value in counters.items()
                   if cell.startswith("policy.records"))
     lines.append(f"policy.records = {int(records)}")
-    for name in ("policy.decisions", "policy.overrides"):
-        total = sum(value for cell, value in counters.items()
-                    if cell.startswith(name + "{"))
-        lines.append(f"{name} = {int(total)}")
-        for cell, value in sorted(counters.items()):
-            if cell.startswith(name + "{"):
-                lines.append(f"  {cell} = {int(value)}")
     lines.append("policy.load = " + (" ".join(
         f"{cell} = {int(value)}" for cell, value in sorted(counters.items())
         if cell.startswith("policy.load{")) or "none"))

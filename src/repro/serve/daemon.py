@@ -240,6 +240,12 @@ class KernelCompileDaemon:
             self._cond.notify_all()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does (accept fails with EINVAL)
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

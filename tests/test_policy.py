@@ -1,7 +1,7 @@
-"""The learned policy layer (DESIGN.md §15): bit-history table
-mechanics, deterministic ranking, crash-safe persistence, mode gating,
-and the four wired decision points — compiler ladder, hot-tier
-threshold, backend probe gate, and history-weighted cache eviction."""
+"""The observe-mode outcome recorder (DESIGN.md §15): bit-history
+table mechanics, crash-safe persistence and mode gating; the decision
+points it observes — compiler ladder, hot-tier threshold, backend
+probe — stay fixed; and the one eviction rank per cache tier."""
 
 from __future__ import annotations
 
@@ -33,10 +33,7 @@ def _pin_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_SERVICE", raising=False)
     monkeypatch.delenv("REPRO_POLICY", raising=False)
-    monkeypatch.delenv("REPRO_POLICY_SEED", raising=False)
-    monkeypatch.delenv("REPRO_POLICY_DECAY", raising=False)
     monkeypatch.delenv("REPRO_CACHE_HIT_FLUSH", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_HALF_LIFE", raising=False)
 
 
 @pytest.fixture
@@ -124,42 +121,11 @@ class TestBitHistory:
         assert streaks == sorted(streaks)
 
 
-class TestRanking:
-    def test_cold_table_is_identity(self):
-        table = PolicyTable(None)
-        assert table.rank("f", "ladder", ["a", "b", "c"]) == [0, 1, 2]
-
-    def test_learned_scores_reorder(self):
-        table = PolicyTable(None)
-        for _ in range(3):
-            table.record("f", "ladder", "a", False)
-            table.record("f", "ladder", "c", True)
-        # c proven good, b unobserved (neutral), a proven bad
-        assert table.rank("f", "ladder", ["a", "b", "c"]) == [2, 1, 0]
-
-    def test_seeded_ties_are_deterministic(self, monkeypatch):
-        """With a non-zero seed, ties break by a keyed hash — the same
-        permutation from two independent tables (and so from two
-        processes with the same seed)."""
-        monkeypatch.setenv("REPRO_POLICY_SEED", "7")
-        choices = ["icc/O3", "gcc/O3", "clang/O3", "gcc/O2"]
-        got_a = PolicyTable(None).rank("f", "ladder", choices)
-        got_b = PolicyTable(None).rank("f", "ladder", choices)
-        expected = sorted(
-            range(len(choices)),
-            key=lambda i: policy._tie_hash(7, "f", "ladder", choices[i]))
-        assert got_a == got_b == expected
-        monkeypatch.setenv("REPRO_POLICY_SEED", "0")
-        assert PolicyTable(None).rank("f", "ladder", choices) \
-            == [0, 1, 2, 3]
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         table = PolicyTable(tmp_path / "p")
         table.record("fam", "ladder", "gcc/O3", True)
         table.record("fam", "ladder", "icc/O3", False)
-        table.record_value("fam", "compile_cost", 0.5)
         table.flush(force=True)
         assert (tmp_path / "p" / "policy.json").is_file()
         reborn = PolicyTable(tmp_path / "p")
@@ -167,7 +133,6 @@ class TestPersistence:
             pytest.approx(1.0)
         assert reborn.score("fam", "ladder", "icc/O3") == \
             pytest.approx(0.0)
-        assert reborn.value("fam", "compile_cost") == pytest.approx(0.5)
         # no temp debris from the write-fsync-rename
         assert not list((tmp_path / "p").glob("*.tmp"))
 
@@ -179,12 +144,26 @@ class TestPersistence:
         (d / "policy.json").write_bytes(debris)
         table = PolicyTable(d)     # must not raise
         assert table.score("fam", "ladder", "gcc/O3") is None
-        assert table.rank("fam", "ladder", ["a", "b"]) == [0, 1]
         # the next flush overwrites the debris with valid state
         table.record("fam", "ladder", "a", True)
         table.flush(force=True)
         state = json.loads((d / "policy.json").read_text())
         assert state["version"] == 1 and state["entries"]
+
+    def test_file_with_values_loads(self, tmp_path):
+        """A ``policy.json`` that still carries the retired ``values``
+        list (per-family cost averages) loads its entries."""
+        d = tmp_path / "p"
+        d.mkdir()
+        (d / "policy.json").write_text(json.dumps({
+            "version": 1,
+            "entries": [{"family": "fam", "kind": "ladder",
+                         "choice": "gcc/O3", "bits": 1, "n": 1}],
+            "values": [{"family": "fam", "kind": "compile_cost",
+                        "value": 0.5, "n": 3}]}))
+        table = PolicyTable(d)
+        assert table.score("fam", "ladder", "gcc/O3") == \
+            pytest.approx(1.0)
 
     def test_registry_keys_on_cache_dir(self, clean_state, monkeypatch,
                                         tmp_path):
@@ -197,24 +176,22 @@ class TestPersistence:
 class TestModes:
     def test_default_is_observe(self):
         assert policy.policy_mode() == "observe"
-        assert policy.recording() and not policy.acting()
+        assert policy.recording()
 
     def test_off_disables_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_POLICY", "off")
-        assert not policy.recording() and not policy.acting()
-
-    def test_learned_acts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "learned")
-        assert policy.recording() and policy.acting()
+        assert not policy.recording()
 
     def test_unknown_mode_warns_and_observes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "bogus")
-        with pytest.warns(RuntimeWarning, match="REPRO_POLICY"):
-            assert policy.policy_mode() == "observe"
+        # "learned" is a retired mode: it falls back like any other
+        for raw in ("bogus", "learned"):
+            monkeypatch.setenv("REPRO_POLICY", raw)
+            with pytest.warns(RuntimeWarning, match="REPRO_POLICY"):
+                assert policy.policy_mode() == "observe"
 
 
 # ---------------------------------------------------------------------------
-# Decision point 1: the compiler ladder
+# The compiler ladder
 
 
 @requires_compiler
@@ -224,30 +201,6 @@ class TestLadderPolicy:
         assert real_gcc, "suite requires gcc"
         fake = _fake_icc_always_fail(tmp_path)
         monkeypatch.setenv("REPRO_CC", f"icc={fake},gcc={real_gcc}")
-
-    def test_learned_skips_the_doomed_icc_rung(
-            self, clean_state, tmp_path, monkeypatch):
-        self._chain_env(tmp_path, monkeypatch)
-        monkeypatch.setenv("REPRO_POLICY", "learned")
-        first = compile_staged(
-            lambda a, n: forloop(0, n, step=1, body=lambda i: array_update(
-                a, i, array_apply(a, i) * 2.0 + 1.5)),
-            [array_of(FLOAT), INT32], name="ladfam1", backend="native")
-        assert first.backend == BackendKind.NATIVE
-        rep = first.report
-        # cold table: the fixed icc-first walk, failures recorded
-        assert rep.attempts[0].compiler == "icc"
-        assert rep.attempts[-1].compiler == "gcc"
-        assert len(rep.attempts) >= 3
-        second = compile_staged(
-            lambda a, n: forloop(0, n, step=1, body=lambda i: array_update(
-                a, i, array_apply(a, i) * 2.0 + 2.5)),
-            [array_of(FLOAT), INT32], name="ladfam2", backend="native")
-        rep2 = second.report
-        # same family: the learned order jumps straight to the rung
-        # that links — one attempt, gcc first
-        assert [a.outcome for a in rep2.attempts] == ["ok"]
-        assert rep2.attempts[0].compiler == "gcc"
 
     def test_observe_records_but_keeps_fixed_order(
             self, clean_state, tmp_path, monkeypatch):
@@ -260,7 +213,7 @@ class TestLadderPolicy:
             # both kernels pay the full fixed icc-first walk
             assert kernel.report.attempts[0].compiler == "icc"
             assert kernel.report.attempts[0].outcome == "permanent"
-        # ...but the history was recorded for a future learned run
+        # ...but the outcomes were recorded
         table = policy.get_policy()
         assert table.score("obsfam", "ladder", "gcc/O3") == \
             pytest.approx(1.0)
@@ -269,8 +222,8 @@ class TestLadderPolicy:
 
     def test_off_is_fixed_order_even_with_poisoned_history(
             self, clean_state, tmp_path, monkeypatch):
-        """``REPRO_POLICY=off`` byte-for-byte regression: a persisted
-        table that would reorder the ladder is never consulted."""
+        """``REPRO_POLICY=off``: a persisted table full of history is
+        neither consulted nor written."""
         poisoned = PolicyTable(clean_state / "policy")
         for _ in range(8):
             poisoned.record("offfam", "ladder", "icc/O3", False)
@@ -299,88 +252,32 @@ def _make_fn(salt: float):
 
 
 # ---------------------------------------------------------------------------
-# Decision point 2: the hot-tier promotion threshold
+# The hot-tier promotion threshold
 
 
 class TestTierPolicy:
-    def test_cheap_families_promote_early(self, clean_state):
-        table = policy.get_policy()
-        table.record_value("cheap", "compile_cost", 0.125)
-        threshold, note = policy.learned_hot_threshold("cheap", 8)
-        assert threshold == 1
-        assert "hot threshold 1" in note
-
-    def test_expensive_families_promote_late(self, clean_state):
-        table = policy.get_policy()
-        table.record_value("slow", "compile_cost", 3.0)
-        threshold, _ = policy.learned_hot_threshold("slow", 8)
-        assert threshold == 24
-
-    def test_threshold_clamped_to_eight_times_base(self, clean_state):
-        table = policy.get_policy()
-        table.record_value("glacial", "compile_cost", 1000.0)
-        threshold, _ = policy.learned_hot_threshold("glacial", 8)
-        assert threshold == 64
-
-    def test_failing_promotions_pin_to_ceiling(self, clean_state):
-        table = policy.get_policy()
-        table.record_value("doomed", "compile_cost", 0.01)  # cheap...
-        for _ in range(policy.MIN_OBSERVATIONS):
-            table.record("doomed", "tier", "promote", False)
-        threshold, note = policy.learned_hot_threshold("doomed", 8)
-        assert threshold == 64       # ...but promotion never lands
-        assert "promote success 0.00" in note
-
-    def test_learned_threshold_arms_the_hot_countdown(
-            self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "learned")
-        policy.get_policy().record_value("hotfam", "compile_cost", 0.25)
-        kernel = compile_staged(_make_fn(6.5), [array_of(FLOAT), INT32],
-                                name="hotfam1", backend="auto",
-                                tier="hot")
-        assert kernel._impl.countdown == 2     # round(8 * 0.25)
-        assert any("hot threshold 2" in n for n in kernel.policy_log)
-        assert "policy decisions:" in kernel.explain()
-
     def test_fixed_threshold_without_learned_mode(self, clean_state):
-        policy.get_policy().record_value("obshot", "compile_cost", 0.25)
+        table = policy.get_policy()
+        for _ in range(8):
+            table.record("obshot", "tier", "promote", False)
         kernel = compile_staged(_make_fn(7.5), [array_of(FLOAT), INT32],
                                 name="obshot1", backend="auto",
                                 tier="hot")
-        assert kernel._impl.countdown == 8     # observe never acts
-        assert kernel.policy_log == []
+        assert kernel._impl.countdown == 8     # history never acts
 
 
 # ---------------------------------------------------------------------------
-# Decision point 3: the backend probe gate
+# The backend probe
 
 
 class TestBackendGate:
     def _poison(self, family: str) -> None:
         table = policy.get_policy()
-        for _ in range(policy.MIN_OBSERVATIONS):
+        for _ in range(8):
             table.record(family, "backend", "native", False)
-
-    def test_failing_family_skips_the_probe(self, clean_state,
-                                            monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "learned")
-        self._poison("gatefam")
-
-        def boom(*_a, **_k):
-            raise AssertionError("native probe should have been gated")
-
-        monkeypatch.setattr("repro.core.pipeline.acquire_native", boom)
-        kernel = compile_staged(_make_fn(8.5), [array_of(FLOAT), INT32],
-                                name="gatefam1", backend="auto")
-        assert kernel.backend == BackendKind.SIMULATED
-        assert "skipping native probe" in (kernel.fallback_reason or "")
-        assert any("skipping native probe" in n
-                   for n in kernel.policy_log)
-        assert "skipping native probe" in kernel.explain()
 
     def test_explicit_native_requests_are_never_gated(
             self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "learned")
         self._poison("wantfam")
         probed = []
 
@@ -410,11 +307,10 @@ class TestBackendGate:
                                 name="obsgate1", backend="auto")
         assert probed == ["obsgate1"]
         assert kernel.backend == BackendKind.SIMULATED
-        assert kernel.policy_log == []
 
 
 # ---------------------------------------------------------------------------
-# Decision point 4a: the in-memory kernel cache
+# The in-memory kernel cache: LRU
 
 
 class TestMemCacheEviction:
@@ -431,25 +327,15 @@ class TestMemCacheEviction:
         cache.put_for(sc, "auto", "kc")            # forces one eviction
         return sa, sb, sc
 
-    def test_lru_keeps_the_most_recent(self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "off")
+    def test_lru_keeps_the_most_recent(self, clean_state):
         cache = KernelCache(maxsize=2)
         sa, sb, _sc = self._traffic(cache)
         # pure LRU: the hot-but-less-recent entry is the victim
         assert cache.get_for(sa, "auto") is None
         assert cache.get_for(sb, "auto") == "kb"
 
-    def test_learned_keeps_the_hot_entry(self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "learned")
-        cache = KernelCache(maxsize=2)
-        sa, sb, _sc = self._traffic(cache)
-        # decayed-hit score: five hits outweigh one recent touch
-        assert cache.get_for(sa, "auto") == "ka"
-        assert cache.get_for(sb, "auto") is None
-
-
 # ---------------------------------------------------------------------------
-# Decision point 4b + satellites: the disk cache
+# The disk cache: (hits, mtime)
 
 
 def _payload(tag: str) -> bytes:
@@ -509,36 +395,25 @@ class TestDiskCachePolicy:
         assert disk.get(hot) is not None
         assert disk.get(cold) is None
 
-    def test_learned_eviction_drops_stale_hot_entries(
-            self, clean_state, tmp_path, monkeypatch):
-        """A formerly-hot-now-dead kernel loses to a currently-warm one
-        under learned eviction; raw ``(hits, mtime)`` keeps it."""
-        monkeypatch.setenv("REPRO_CACHE_HALF_LIFE", "0.05")
+    def test_manifest_with_decayed_history_still_serves(
+            self, clean_state, tmp_path):
+        """Manifests carrying the retired ``hist``/``hist_at`` fields
+        still serve hits, and eviction ranks them by ``(hits, mtime)``
+        alone: the entry whose decayed history is dead but whose raw
+        count is higher survives."""
+        disk = DiskKernelCache(root=tmp_path / "c", max_entries=2,
+                               hit_flush=1)
         stale, warm = f"{10:032x}", f"{11:032x}"
-
-        def build(mode: str, root: Path) -> DiskKernelCache:
-            monkeypatch.setenv("REPRO_POLICY", mode)
-            disk = DiskKernelCache(root=root, max_entries=2, hit_flush=1)
-            disk.put(stale, _payload("s"), {})
-            for _ in range(5):
-                disk.get(stale)           # five hits, then silence
-            time.sleep(0.4)               # ~8 half-lives of decay
-            disk.put(warm, _payload("w"), {})
-            for _ in range(2):
-                disk.get(warm)
-            disk.max_entries = 1
-            disk._evict()
-            return disk
-
-        fixed = build("observe", tmp_path / "fixed")
-        # raw hits: 5 beats 2, the stale entry is pinned
-        assert fixed.get(stale) is not None
-        assert fixed.get(warm) is None
-
-        learned = build("learned", tmp_path / "learned")
-        # decayed history: 5 * 0.5^8 < 2, the dead entry finally goes
-        assert learned.get(stale) is None
-        assert learned.get(warm) is not None
+        disk.put(stale, _payload("s"),
+                 {"hits": 5, "hist": 0.001, "hist_at": 1.0})
+        disk.put(warm, _payload("w"),
+                 {"hits": 2, "hist": 2.0, "hist_at": time.time()})
+        entry = disk.get(stale)
+        assert entry is not None and entry.meta["hits"] == 6
+        disk.max_entries = 1
+        disk._evict()
+        assert disk.get(stale) is not None
+        assert disk.get(warm) is None
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +424,16 @@ class TestPolicyReport:
     def test_report_has_policy_section(self):
         counters = {
             "policy.records{kind=ladder}": 6.0,
-            "policy.decisions{kind=ladder}": 2.0,
-            "policy.overrides{kind=ladder}": 1.0,
             "policy.outcomes{choice=gcc/O3,kind=ladder,outcome=ok}": 3.0,
             "policy.load{outcome=ok}": 1.0,
             "policy.flushes": 2.0,
         }
         text = render_report([], {"counters": counters,
-                                  "gauges": {"policy.mode": 2}})
+                                  "gauges": {"policy.mode": 1}})
         assert "== policy ==" in text
-        assert "mode: learned" in text
+        assert "mode: observe" in text
         assert "policy.records = 6" in text
-        assert "policy.decisions = 2" in text
-        assert "policy.overrides = 1" in text
+        assert "policy.decisions" not in text
         assert "policy.outcomes{choice=gcc/O3,kind=ladder,outcome=ok}" \
             in text
 
@@ -569,5 +441,4 @@ class TestPolicyReport:
         text = render_report([], {"counters": {}, "gauges": {}})
         assert "== policy ==" in text
         assert "policy.records = 0" in text
-        assert "policy.decisions = 0" in text
-        assert "policy.overrides = 0" in text
+        assert "policy.flushes = 0" in text

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.codegen.compiler import (
     compile_with_fallback,
     flag_ladder,
 )
+import repro.core.resilience as resilience
+from repro.codegen.native import build_native
 from repro.core import BackendKind, KernelQuarantinedError, compile_staged
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import (
@@ -315,6 +318,35 @@ class TestSmokeAndQuarantine:
                                 name="healthy_k", backend="auto").wait_native()
         assert kernel.backend == BackendKind.NATIVE
         assert kernel.report.smoke == "passed"
+
+    def test_smoke_parent_sleeps_while_child_runs(self, clean_state,
+                                                  tmp_path, monkeypatch):
+        artifact = build_native(_staged(29.5, "smoke_idle_k"),
+                                workdir=tmp_path / "wd")
+        # warm the simulator caches the parent uses before forking
+        assert resilience.smoke_test_artifact(artifact).status == "passed"
+        real = resilience._child_smoke
+
+        def slow_child(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(resilience, "_child_smoke", slow_child)
+        cpu = time.process_time()
+        verdict = resilience.smoke_test_artifact(artifact)
+        assert verdict.status == "passed"
+        assert time.process_time() - cpu < 0.05
+
+    def test_smoke_timeout_kills_a_sleeping_child(self, clean_state,
+                                                  tmp_path, monkeypatch):
+        artifact = build_native(_staged(31.5, "smoke_hang_k"),
+                                workdir=tmp_path / "wd")
+        monkeypatch.setattr(resilience, "_child_smoke",
+                            lambda *args: time.sleep(30) or 0)
+        start = time.monotonic()
+        verdict = resilience.smoke_test_artifact(artifact, timeout=0.2)
+        assert verdict.status == "timeout"
+        assert time.monotonic() - start < 5.0
 
 
 @requires_compiler

@@ -246,9 +246,12 @@ def test_shutdown_verb_removes_socket_and_pid(serve_env):
     assert protocol.pid_path(serve_env).exists()
     reply = request({"verb": "shutdown"})
     assert reply["ok"] and reply["stopping"]
+    # stop() runs on its own thread and unlinks the socket, then the
+    # pid file: wait for both
+    pid_file = protocol.pid_path(serve_env)
     deadline = time.monotonic() + 10
-    while (daemon.running or serve_env.exists()) and \
-            time.monotonic() < deadline:
+    while (daemon.running or serve_env.exists() or pid_file.exists()) \
+            and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not daemon.running
     assert not serve_env.exists()
@@ -299,6 +302,17 @@ def test_second_daemon_refused_while_first_lives(serve_env):
     with pytest.raises(DaemonAlreadyRunningError, match="already"):
         KernelCompileDaemon().start()
     assert daemon_available(serve_env)   # refusal left it untouched
+
+
+def test_stop_wakes_the_accept_thread(serve_env):
+    daemon = KernelCompileDaemon()
+    daemon.start()
+    assert request({"verb": "ping"})["ok"]
+    start = time.monotonic()
+    daemon.stop()
+    assert time.monotonic() - start < 0.5
+    assert not any(t.name == "repro-serve-accept" and t.is_alive()
+                   for t in threading.enumerate())
 
 
 def test_clear_session_state_stops_embedded_daemon(serve_env):

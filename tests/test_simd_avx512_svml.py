@@ -1,5 +1,10 @@
 """AVX-512 masked families, mask registers, reductions, and SVML."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +157,17 @@ class TestSVML:
         fwd = registry["_mm256_erf_pd"](CTX, a)
         back = registry["_mm256_erfinv_pd"](CTX, fwd)
         assert np.allclose(back.view(np.float64), xs, rtol=1e-9)
+
+    def test_import_leaves_scipy_unloaded(self):
+        """scipy is a lazy dependency of the five special functions
+        only: importing the pipeline must not load it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.core; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestAVX512Memory:
