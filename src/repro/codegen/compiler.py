@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Sequence
 
 import repro.obs as obs
 from repro.core import faults, policy
-from repro.core.env import env_float, env_int
 from repro.core.procutil import kill_process_group
 
 # Map CPU feature flags (as /proc/cpuinfo spells them) to ISA names.
@@ -211,11 +210,12 @@ class PermanentCompileError(CompileError):
 
 
 class CompileDeadlineError(TransientCompileError):
-    """The per-kernel wall-clock deadline (``REPRO_COMPILE_DEADLINE``)
-    expired before the ladder produced an artifact.  Transient — the
-    kernel stays on the simulator and may be re-promoted later — but
-    the ladder stops walking immediately instead of burning rungs
-    against a clock that has already run out."""
+    """The per-kernel wall-clock deadline
+    (:data:`repro.core.tiered.COMPILE_DEADLINE`) expired before the
+    ladder produced an artifact.  Transient — the kernel stays on the
+    simulator and may be re-promoted later — but the ladder stops
+    walking immediately instead of burning rungs against a clock that
+    has already run out."""
 
 
 # stderr signatures of failures worth retrying verbatim.
@@ -226,8 +226,9 @@ _TRANSIENT_RE = re.compile(
 )
 
 
-def _compile_timeout() -> float:
-    return env_float("REPRO_COMPILE_TIMEOUT", 120.0, minimum=0.01)
+#: Seconds before one compiler invocation is killed and counts as a
+#: transient failure.
+COMPILE_TIMEOUT = 120.0
 
 
 def _run_with_watchdog(cmd: Sequence[str], timeout: float,
@@ -288,7 +289,7 @@ def compile_shared_library(source: str, workdir: Path,
     use_flags = list(flags) if flags is not None else cc.flags_for(isas)
     cmd = [cc.path, *use_flags, str(c_path), "-o", str(so_path)]
     if timeout is None:
-        timeout = _compile_timeout()
+        timeout = COMPILE_TIMEOUT
     if deadline is not None:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -376,8 +377,8 @@ class CompileAttempt:
         }
 
 
-def _max_retries() -> int:
-    return env_int("REPRO_COMPILE_RETRIES", 2, minimum=0)
+#: Retries per ladder rung for transient compiler failures.
+COMPILE_RETRIES = 2
 
 
 def compile_with_fallback(source: str, workdir: Path,
@@ -396,7 +397,7 @@ def compile_with_fallback(source: str, workdir: Path,
 
     For each compiler in the icc→gcc→clang chain, walk the flag ladder;
     transient failures are retried up to ``max_retries`` times (default
-    ``REPRO_COMPILE_RETRIES``, 2) with bounded exponential backoff,
+    :data:`COMPILE_RETRIES`) with bounded exponential backoff,
     permanent ones drop straight to the next rung.  Every invocation is
     appended to ``attempts``.  ``deadline`` (absolute
     ``time.monotonic()``) bounds the whole walk: once it expires the
@@ -413,7 +414,8 @@ def compile_with_fallback(source: str, workdir: Path,
         else list(compiler_chain())
     if not ccs:
         raise PermanentCompileError("no C compiler found on this system")
-    retries = _max_retries() if max_retries is None else max(0, max_retries)
+    retries = COMPILE_RETRIES if max_retries is None \
+        else max(0, max_retries)
 
     rungs: list[tuple[CompilerInfo, str, list[str]]] = [
         (cc, rung, fl) for cc in ccs

@@ -300,17 +300,16 @@ def required_isas(staged: StagedFunction,
                   version: str | None = None) -> frozenset[str]:
     """The ISAs a staged function's intrinsics need, from their CPUIDs.
 
-    ``version`` selects the spec release to resolve intrinsics against;
-    it defaults to ``REPRO_SPEC_VERSION`` and then to the registry's
-    default, so Table-3 version experiments exercise the real link path.
+    ``version`` selects the spec release to resolve intrinsics against
+    (default: the registry's ``DEFAULT_VERSION``), so Table-3 version
+    experiments exercise the real link path.
     """
     from repro.isa.base import IntrinsicsDef
     from repro.lms.defs import iter_defs
     from repro.spec.catalog import all_entries
     from repro.spec.versions import DEFAULT_VERSION
 
-    version = (version or os.environ.get("REPRO_SPEC_VERSION")
-               or DEFAULT_VERSION)
+    version = version or DEFAULT_VERSION
     by_name = {e.name: e for e in all_entries(version)}
     needed: set[str] = set()
     for stm, _ in iter_defs(staged.body):

@@ -5,10 +5,10 @@ invocation; at serving scale that tax dominates small kernels.
 :func:`execute_batch` is the explicit batch API (DESIGN.md §13): run N
 argument sets against one kernel, re-reading the kernel's
 single-attribute tiered dispatch per chunk so a concurrent hot-swap
-splits the batch on a chunk boundary (every chunk runs atomically on
-exactly one tier).  Native chunks go through
-:meth:`NativeKernel.call_batch` (one ctypes call over a packed
-``void**`` table); simulated chunks go through
+splits the batch on a chunk boundary (every chunk of at most
+:data:`BATCH_MAX` entries runs atomically on exactly one tier).
+Native chunks go through :meth:`NativeKernel.call_batch` (one ctypes
+call over a packed ``void**`` table); simulated chunks go through
 :meth:`SimdMachine.run_batch` (one whole-batch numpy sweep when the
 entries share a control-flow path).
 
@@ -22,19 +22,16 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import repro.obs as obs
-from repro.core.env import env_int
 
 __all__ = [
-    "batch_max",
+    "BATCH_MAX",
     "execute_batch",
 ]
 
-
-def batch_max() -> int:
-    """``REPRO_BATCH_MAX``: largest slice handed to one tier in one
-    call.  Chunking bounds arena growth and gives a concurrent
-    hot-swap a boundary to land on mid-batch."""
-    return env_int("REPRO_BATCH_MAX", 1024, minimum=1)
+#: Largest slice handed to one tier in one call.  Chunking bounds arena
+#: growth and gives a concurrent hot-swap a boundary to land on
+#: mid-batch.
+BATCH_MAX = 1024
 
 
 def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
@@ -50,7 +47,7 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
     if not entries:
         return []
     results: list = []
-    limit = batch_max()
+    limit = BATCH_MAX
     for i in range(0, len(entries), limit):
         chunk = entries[i:i + limit]
         impl = kernel._impl

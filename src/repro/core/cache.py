@@ -27,11 +27,29 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 
 import repro.obs as obs
 from repro.core import faults
-from repro.core.env import env_float, env_int
 from repro.core.procutil import pid_alive
 from repro.lms.defs import Block, Stm
 from repro.lms.expr import Const, Exp, Sym
 from repro.lms.staging import StagedFunction
+
+#: LRU bound on the in-process kernel cache (:class:`KernelCache`).
+MEM_CACHE_ENTRIES = 256
+
+#: Bound on the on-disk artifact cache (:class:`DiskKernelCache`),
+#: evicted by ``(hits, recency)``.
+DISK_CACHE_ENTRIES = 128
+
+#: LRU bound on the in-process simulator program memo
+#: (:class:`ProgramCache`).
+PROGRAM_CACHE_ENTRIES = 256
+
+#: Disk-cache hits buffered in memory per key before the manifest hit
+#: count is written back.
+HIT_FLUSH = 16
+
+#: Seconds to wait on a disk-cache shard lock before giving up (stale
+#: locks of dead owners are broken first).
+LOCK_TIMEOUT = 10.0
 
 
 def _exp_token(e: Exp) -> str:
@@ -199,10 +217,10 @@ class DiskKernelCache:
 
     **Stale-lock breaking.**  ``flock`` locks die with their holder, so
     a killed publisher never wedges the shard.  If acquisition still
-    times out (``REPRO_CACHE_LOCK_TIMEOUT``), the pid stamped into the
-    lock file is probed; a dead owner's lock file is broken (unlinked)
-    and acquisition retried once, after which :class:`CacheLockTimeout`
-    is raised.
+    times out (``lock_timeout``, default :data:`LOCK_TIMEOUT`), the pid
+    stamped into the lock file is probed; a dead owner's lock file is
+    broken (unlinked) and acquisition retried once, after which
+    :class:`CacheLockTimeout` is raised.
 
     **Lock-held eviction.**  The entry count is bounded across all
     shards by (hits, recency): every ``get`` records a hit count in the
@@ -213,8 +231,8 @@ class DiskKernelCache:
     **Batched hit write-back.**  Persisting the hit count used to cost
     a write+fsync+rename on every ``get``; hits are now accumulated in
     memory and flushed to the manifest every ``hit_flush`` hits per key
-    (``REPRO_CACHE_HIT_FLUSH``, default 16), and on eviction,
-    invalidation and :meth:`flush_hits`.  A crash loses at most
+    (default :data:`HIT_FLUSH`), and on eviction, invalidation and
+    :meth:`flush_hits`.  A crash loses at most
     ``hit_flush - 1`` hits of popularity per key, never an artifact.
     """
 
@@ -225,11 +243,10 @@ class DiskKernelCache:
         self.root = Path(root).expanduser() if root is not None \
             else cache_root()
         self.max_entries = max_entries if max_entries is not None \
-            else env_int("REPRO_CACHE_DISK_ENTRIES", 128, minimum=1)
+            else DISK_CACHE_ENTRIES
         self.lock_timeout = lock_timeout if lock_timeout is not None \
-            else env_float("REPRO_CACHE_LOCK_TIMEOUT", 10.0, minimum=0.01)
-        self.hit_flush = hit_flush if hit_flush is not None \
-            else env_int("REPRO_CACHE_HIT_FLUSH", 16, minimum=1)
+            else LOCK_TIMEOUT
+        self.hit_flush = hit_flush if hit_flush is not None else HIT_FLUSH
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -409,12 +426,20 @@ class DiskKernelCache:
         return found
 
     def invalidate(self, key: str) -> None:
-        """Remove an entry (e.g. after its artifact was quarantined)."""
+        """Remove an entry (e.g. after its artifact was quarantined).
+
+        A wedged shard lock leaves the entry in place rather than
+        raising: callers invalidate on failure paths, this process
+        already refuses the quarantined graph hash, and every other
+        process smoke-runs an artifact before linking it."""
         with self._lock:
             shard = self.shard_dir(key)
             if not shard.is_dir():
                 return
-            lock = self._acquire_shard_lock(shard)
+            try:
+                lock = self._acquire_shard_lock(shard)
+            except CacheLockTimeout:
+                return
             try:
                 self._drop_locked(key)
             finally:
@@ -674,7 +699,7 @@ class KernelCache:
     def __init__(self, maxsize: int | None = None) -> None:
         self._kernels: OrderedDict[tuple[str, str], object] = OrderedDict()
         self._maxsize = maxsize if maxsize is not None \
-            else env_int("REPRO_CACHE_MEM_ENTRIES", 256, minimum=1)
+            else MEM_CACHE_ENTRIES
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -736,13 +761,13 @@ class ProgramCache:
     there is no backend dimension — a compiled program is the simulator
     backend).  Re-staging an identical kernel, a benchmark sweep over
     sizes, or a smoke-run against a fresh ``SimdMachine`` all reuse one
-    program; entries are LRU-bounded by ``REPRO_CACHE_PROGRAM_ENTRIES``.
+    program; entries are LRU-bounded by :data:`PROGRAM_CACHE_ENTRIES`.
     """
 
     def __init__(self, maxsize: int | None = None) -> None:
         self._programs: OrderedDict[str, object] = OrderedDict()
         self._maxsize = maxsize if maxsize is not None \
-            else env_int("REPRO_CACHE_PROGRAM_ENTRIES", 256, minimum=1)
+            else PROGRAM_CACHE_ENTRIES
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()

@@ -1,8 +1,8 @@
 """Tolerant environment-variable parsing shared across the runtime.
 
-Configuration knobs (`REPRO_SMOKE_TIMEOUT`, `REPRO_COMPILE_RETRIES`,
-cache bounds, observability limits, ...) are read at call sites deep in
-the compile path, where a malformed value must never abort a kernel
+The mode knobs (``REPRO_TIER``, ``REPRO_SERVICE``, ``REPRO_POLICY``,
+``REPRO_OPT``, ``REPRO_COMPILE_WORKERS``) are read at call sites deep
+in the compile path, where a malformed value must never abort a kernel
 build.  These helpers warn once per lookup and fall back to the
 documented default instead of raising.
 """
@@ -11,29 +11,9 @@ from __future__ import annotations
 
 import os
 import warnings
+from typing import Sequence
 
-__all__ = ["env_float", "env_int"]
-
-
-def _clamp(value, minimum):
-    if minimum is not None and value < minimum:
-        return minimum
-    return value
-
-
-def env_float(name: str, default: float,
-              minimum: float | None = None) -> float:
-    """``float(os.environ[name])`` with a warn-and-default fallback."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return _clamp(float(raw), minimum)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r}; using default {default}",
-            RuntimeWarning, stacklevel=2)
-        return default
+__all__ = ["env_choice", "env_int"]
 
 
 def env_int(name: str, default: int, minimum: int | None = None) -> int:
@@ -42,9 +22,28 @@ def env_int(name: str, default: int, minimum: int | None = None) -> int:
     if raw is None or not raw.strip():
         return default
     try:
-        return _clamp(int(raw), minimum)
+        value = int(raw)
     except ValueError:
         warnings.warn(
             f"ignoring malformed {name}={raw!r}; using default {default}",
             RuntimeWarning, stacklevel=2)
         return default
+    if minimum is not None and value < minimum:
+        return minimum
+    return value
+
+
+def env_choice(name: str, choices: Sequence[str], default: str) -> str:
+    """``os.environ[name]``, lower-cased, if it is one of ``choices``;
+    otherwise warn (for a set but unknown value) and return
+    ``default``."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    mode = raw.strip().lower()
+    if mode not in choices:
+        warnings.warn(
+            f"ignoring unknown {name}={raw!r}; using {default!r}",
+            RuntimeWarning, stacklevel=2)
+        return default
+    return mode

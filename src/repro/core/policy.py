@@ -2,7 +2,7 @@
 
 The pipeline's decisions are fixed: the compiler ladder walks
 icc→gcc→clang / O3→O2→minimal-ISA in order, ``REPRO_TIER=hot``
-promotes at :func:`~repro.core.tiered.hot_threshold`, the backend
+promotes at :data:`~repro.core.tiered.HOT_THRESHOLD`, the backend
 probe always runs for ``backend="auto"``, and each cache tier evicts
 by one rank (DESIGN.md §15).  This module only *records* how those
 decisions turn out, in a thread-safe **bit-history table** keyed by
@@ -30,10 +30,10 @@ import atexit
 import json
 import os
 import threading
-import warnings
 from pathlib import Path
 
 import repro.obs as obs
+from repro.core.env import env_choice
 
 __all__ = [
     "DECAY",
@@ -63,16 +63,7 @@ _MODE_CODES = {"off": 0, "observe": 1}
 def policy_mode() -> str:
     """The recorder gate (``REPRO_POLICY``): ``off`` | ``observe``
     (default)."""
-    raw = os.environ.get("REPRO_POLICY")
-    if raw is None or not raw.strip():
-        return "observe"
-    mode = raw.strip().lower()
-    if mode not in MODES:
-        warnings.warn(
-            f"ignoring unknown REPRO_POLICY={raw!r}; using 'observe'",
-            RuntimeWarning, stacklevel=2)
-        return "observe"
-    return mode
+    return env_choice("REPRO_POLICY", MODES, "observe")
 
 
 def recording() -> bool:

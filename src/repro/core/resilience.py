@@ -14,8 +14,9 @@ the harness layer around both:
   artifact is linked into the host, :func:`acquire_native` smoke-runs it
   once in a forked child against simulator-validated shadow arguments
   and compares the results with the bit-accurate simulator.  A SIGSEGV,
-  hang or mismatch quarantines the kernel by graph hash for the rest of
-  the session and the pipeline falls back to the simulator backend.
+  hang (past :data:`SMOKE_TIMEOUT`) or mismatch quarantines the kernel
+  by graph hash for the rest of the session and the pipeline falls back
+  to the simulator backend.
 * **Persistent caching** — validated artifacts live in the disk tier of
   :class:`repro.core.cache.DiskKernelCache`, keyed by ``(graph hash,
   compiler version, flags, ISA set)``, so a second process skips the
@@ -67,7 +68,6 @@ from repro.codegen.native import (
 )
 from repro.core import faults
 from repro.core.cache import DiskKernelCache, default_cache, graph_hash
-from repro.core.env import env_float
 from repro.lms.staging import StagedFunction
 from repro.lms.types import ArrayType, ScalarType
 from repro.simd.machine import SimdMachine
@@ -268,8 +268,9 @@ class SmokeVerdict:
         return self.status in ("crashed", "mismatch", "timeout")
 
 
-def _smoke_timeout() -> float:
-    return env_float("REPRO_SMOKE_TIMEOUT", 30.0, minimum=0.01)
+#: Seconds before a smoke-run child is killed and the kernel
+#: quarantined.
+SMOKE_TIMEOUT = 30.0
 
 
 def _child_smoke(artifact: NativeArtifact, shadow: list[Any],
@@ -341,7 +342,7 @@ def smoke_test_artifact(artifact: NativeArtifact,
     expected_args = _copy_args(shadow)
     expected_ret = machine.run(artifact.staged, expected_args)
     if timeout is None:
-        timeout = _smoke_timeout()
+        timeout = SMOKE_TIMEOUT
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -414,14 +415,6 @@ def smoke_test_artifact(artifact: NativeArtifact,
 # ---------------------------------------------------------------------------
 # The acquisition path: disk cache → ladder compile → smoke → link.
 
-def _smoke_enabled() -> bool:
-    return os.environ.get("REPRO_SMOKE", "1") not in ("0", "off", "no")
-
-
-def _disk_enabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1") not in ("0", "off", "no")
-
-
 def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
                  ghash: str, isas: frozenset[str],
                  ccs: Sequence[CompilerInfo], system: SystemInfo,
@@ -487,8 +480,6 @@ def _artifact_token(ghash: str, so_path) -> tuple[str, str]:
 def acquire_native(staged: StagedFunction, *,
                    system: SystemInfo | None = None,
                    compilers: Sequence[CompilerInfo] | None = None,
-                   use_disk_cache: bool | None = None,
-                   smoke: bool | None = None,
                    max_retries: int | None = None,
                    deadline: float | None = None,
                    ) -> tuple[NativeKernel, CompileReport]:
@@ -530,19 +521,14 @@ def acquire_native(staged: StagedFunction, *,
             err.report = report  # type: ignore[attr-defined]
             raise
 
-        use_disk = _disk_enabled() if use_disk_cache is None \
-            else use_disk_cache
-        disk = default_cache.disk if use_disk else None
-
-        artifact = None
-        if disk is not None:
-            with obs.span("disk_probe") as probe_span:
-                artifact = _disk_lookup(disk, staged, ghash, isas, ccs,
-                                        system, report)
-                probe_span.set(
-                    "outcome", "hit" if artifact is not None else "miss")
-            obs.counter("acquire.disk_probe",
-                        outcome="hit" if artifact is not None else "miss")
+        disk = default_cache.disk
+        with obs.span("disk_probe") as probe_span:
+            artifact = _disk_lookup(disk, staged, ghash, isas, ccs,
+                                    system, report)
+            probe_span.set(
+                "outcome", "hit" if artifact is not None else "miss")
+        obs.counter("acquire.disk_probe",
+                    outcome="hit" if artifact is not None else "miss")
         if artifact is None:
             try:
                 artifact = build_native(staged, check_isas=False,
@@ -559,40 +545,34 @@ def acquire_native(staged: StagedFunction, *,
                 report.compiler = artifact.compiler.name
                 report.compiler_version = artifact.compiler.version
                 report.flags = artifact.flags
-            if disk is not None:
-                _disk_store(disk, artifact, ghash)
+            _disk_store(disk, artifact, ghash)
         acq_span.set("cache_source", report.cache_source)
 
-        run_smoke = _smoke_enabled() if smoke is None else smoke
         with obs.span("smoke", kernel=staged.name) as smoke_span:
-            if not run_smoke:
-                report.smoke = "disabled"
+            token = _artifact_token(ghash, artifact.so_path)
+            with _state_lock:
+                already_trusted = token in _trusted
+            if already_trusted:
+                report.smoke = "trusted"
             else:
-                token = _artifact_token(ghash, artifact.so_path)
-                with _state_lock:
-                    already_trusted = token in _trusted
-                if already_trusted:
-                    report.smoke = "trusted"
-                else:
-                    verdict = smoke_test_artifact(artifact)
-                    report.smoke = verdict.status
-                    if verdict.failed:
-                        reason = f"{verdict.status}: {verdict.detail}" \
-                            if verdict.detail else verdict.status
-                        smoke_span.set("verdict", report.smoke)
-                        obs.counter("smoke.verdicts", status=report.smoke)
-                        quarantine(ghash, reason)
-                        if disk is not None and \
-                                artifact.compiler is not None:
-                            # never serve a condemned artifact to others
-                            disk.invalidate(DiskKernelCache.artifact_key(
-                                ghash, artifact.compiler.version,
-                                artifact.flags, artifact.isas))
-                        report.fallback_reason = f"quarantined: {reason}"
-                        raise KernelQuarantinedError(ghash, reason, report)
-                    if verdict.status == "passed":
-                        with _state_lock:
-                            _trusted.add(token)
+                verdict = smoke_test_artifact(artifact)
+                report.smoke = verdict.status
+                if verdict.failed:
+                    reason = f"{verdict.status}: {verdict.detail}" \
+                        if verdict.detail else verdict.status
+                    smoke_span.set("verdict", report.smoke)
+                    obs.counter("smoke.verdicts", status=report.smoke)
+                    quarantine(ghash, reason)
+                    if artifact.compiler is not None:
+                        # never serve a condemned artifact to others
+                        disk.invalidate(DiskKernelCache.artifact_key(
+                            ghash, artifact.compiler.version,
+                            artifact.flags, artifact.isas))
+                    report.fallback_reason = f"quarantined: {reason}"
+                    raise KernelQuarantinedError(ghash, reason, report)
+                if verdict.status == "passed":
+                    with _state_lock:
+                        _trusted.add(token)
             smoke_span.set("verdict", report.smoke)
         obs.counter("smoke.verdicts", status=report.smoke)
 

@@ -24,15 +24,18 @@ native (tier 1) atomically.
   same kernel cost one ladder walk, and all their handles swap
   together.
 * **Hotness gating.**  ``REPRO_TIER=hot`` mirrors HotSpot's invocation
-  counters: compilation is enqueued only after ``REPRO_HOT_THRESHOLD``
+  counters: compilation is enqueued only after :data:`HOT_THRESHOLD`
   calls, so throwaway kernels never pay for a compile at all.
 
 Environment: ``REPRO_TIER`` (``sync`` | ``async`` | ``hot``, default
-``sync``), ``REPRO_COMPILE_WORKERS`` (default ``min(4, cpus)``) and
-``REPRO_HOT_THRESHOLD`` (default 8).  The compiler ladder and the
-smoke-run already execute in subprocesses, so worker *threads* get
-real parallelism — ``compile_many`` over N independent kernels costs
-roughly one ladder-walk of wall clock, not N.
+``sync``) and ``REPRO_COMPILE_WORKERS`` (default ``min(4, cpus)``).
+Module constants fix the rest: :data:`HOT_THRESHOLD` (8),
+:data:`BREAKER_THRESHOLD` (3), :data:`BREAKER_COOLDOWN` (30 s),
+:data:`QUEUE_BOUND` (64) and :data:`COMPILE_DEADLINE` (300 s).
+The compiler ladder and the smoke-run already execute in
+subprocesses, so worker *threads* get real parallelism —
+``compile_many`` over N independent kernels costs roughly one
+ladder-walk of wall clock, not N.
 """
 
 from __future__ import annotations
@@ -51,25 +54,25 @@ from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
 from repro.core import policy
 from repro.core.cache import CompileJob, InflightCompiles, graph_hash
-from repro.core.env import env_float, env_int
+from repro.core.env import env_choice, env_int
 from repro.core.resilience import KernelQuarantinedError, acquire_native
 
 __all__ = [
+    "BREAKER_COOLDOWN",
+    "BREAKER_THRESHOLD",
+    "COMPILE_DEADLINE",
     "CircuitBreaker",
+    "HOT_THRESHOLD",
     "KernelManager",
+    "QUEUE_BOUND",
     "SERVICE_MODES",
     "TierEvent",
     "TIER_MODES",
-    "breaker_cooldown",
-    "breaker_threshold",
-    "compile_deadline",
     "compile_many",
     "compile_workers",
     "default_manager",
     "environment_failure",
     "get_manager",
-    "hot_threshold",
-    "queue_bound",
     "service_mode",
     "tier_mode",
     "wait_all",
@@ -86,33 +89,15 @@ def service_mode() -> str:
     ``auto`` uses the daemon when reachable and falls back locally,
     ``require`` demotes to the simulator rather than compile locally
     when the daemon is down (DESIGN.md §12)."""
-    raw = os.environ.get("REPRO_SERVICE")
-    if raw is None or not raw.strip():
-        return "off"
-    mode = raw.strip().lower()
-    if mode not in SERVICE_MODES:
-        warnings.warn(
-            f"ignoring unknown REPRO_SERVICE={raw!r}; using 'off'",
-            RuntimeWarning, stacklevel=2)
-        return "off"
-    return mode
+    return env_choice("REPRO_SERVICE", SERVICE_MODES, "off")
 
 
 def tier_mode() -> str:
     """The tiering policy for ``backend="auto"`` kernels
     (``REPRO_TIER``): ``sync`` compiles inline (the pre-tiered
     behaviour), ``async`` enqueues native compilation immediately,
-    ``hot`` enqueues it after :func:`hot_threshold` invocations."""
-    raw = os.environ.get("REPRO_TIER")
-    if raw is None or not raw.strip():
-        return "sync"
-    mode = raw.strip().lower()
-    if mode not in TIER_MODES:
-        warnings.warn(
-            f"ignoring unknown REPRO_TIER={raw!r}; using 'sync'",
-            RuntimeWarning, stacklevel=2)
-        return "sync"
-    return mode
+    ``hot`` enqueues it after :data:`HOT_THRESHOLD` invocations."""
+    return env_choice("REPRO_TIER", TIER_MODES, "sync")
 
 
 def compile_workers() -> int:
@@ -122,39 +107,27 @@ def compile_workers() -> int:
                    min(4, os.cpu_count() or 1), minimum=1)
 
 
-def hot_threshold() -> int:
-    """Invocations before a ``hot``-tier kernel enqueues native
-    compilation (``REPRO_HOT_THRESHOLD``, default 8)."""
-    return env_int("REPRO_HOT_THRESHOLD", 8, minimum=1)
+#: Invocations before a ``hot``-tier kernel enqueues native compilation.
+HOT_THRESHOLD = 8
 
+#: Consecutive environment-level compile failures before the circuit
+#: breaker opens.
+BREAKER_THRESHOLD = 3
 
-def breaker_threshold() -> int:
-    """Consecutive environment-level compile failures before the
-    circuit breaker opens (``REPRO_BREAKER_THRESHOLD``, default 3)."""
-    return env_int("REPRO_BREAKER_THRESHOLD", 3, minimum=1)
+#: Seconds an open breaker waits before admitting one half-open probe
+#: compile.
+BREAKER_COOLDOWN = 30.0
 
+#: Background compile admission bound: promotions past this many
+#: in-flight jobs are shed to the simulator instead of growing the
+#: queue unboundedly.
+QUEUE_BOUND = 64
 
-def breaker_cooldown() -> float:
-    """Seconds an open breaker waits before admitting one half-open
-    probe compile (``REPRO_BREAKER_COOLDOWN``, default 30)."""
-    return env_float("REPRO_BREAKER_COOLDOWN", 30.0, minimum=0.0)
-
-
-def queue_bound() -> int:
-    """Background compile admission bound (``REPRO_QUEUE_BOUND``,
-    default 64): promotions past this many in-flight jobs are shed to
-    the simulator instead of growing the queue unboundedly."""
-    return env_int("REPRO_QUEUE_BOUND", 64, minimum=1)
-
-
-def compile_deadline() -> float | None:
-    """Per-kernel wall-clock budget for one background compile
-    (``REPRO_COMPILE_DEADLINE``, default 300 s; ``0`` disables).  The
-    manager converts it to an absolute deadline threaded down the whole
-    ladder walk, so a hung compiler can never wedge a worker slot
-    longer than this."""
-    value = env_float("REPRO_COMPILE_DEADLINE", 300.0, minimum=0.0)
-    return None if value <= 0 else value
+#: Per-kernel wall-clock budget (seconds) for one background compile.
+#: The manager converts it to an absolute deadline threaded down the
+#: whole ladder walk, so a hung compiler can never wedge a worker slot
+#: longer than this.
+COMPILE_DEADLINE = 300.0
 
 
 _BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
@@ -198,10 +171,10 @@ class CircuitBreaker:
     it gets demoted and the pipeline moves on.  But when the toolchain
     itself is gone (compiler uninstalled, every rung hitting the
     watchdog, deadlines expiring), each doomed compile still burns a
-    worker slot for its full timeout.  After ``REPRO_BREAKER_THRESHOLD``
+    worker slot for its full timeout.  After :data:`BREAKER_THRESHOLD`
     *consecutive* environment-level failures the breaker **opens**:
     ``auto`` kernels are shed straight to the simulator with zero
-    compiles enqueued.  After ``REPRO_BREAKER_COOLDOWN`` seconds the
+    compiles enqueued.  After :data:`BREAKER_COOLDOWN` seconds the
     breaker goes **half-open** and admits exactly one probe compile;
     its success closes the breaker, its failure re-opens it for another
     cooldown.  A *kernel-specific* failure (quarantine, diagnostics)
@@ -246,7 +219,7 @@ class CircuitBreaker:
             if self.state == "closed":
                 return True, False
             if self.state == "open":
-                if self._clock() - self.opened_at < breaker_cooldown():
+                if self._clock() - self.opened_at < BREAKER_COOLDOWN:
                     return False, False
                 self.state = "half-open"
                 self._gauge()
@@ -275,7 +248,7 @@ class CircuitBreaker:
             self.failure_streak += 1
             if self.state == "half-open" or (
                     self.state == "closed"
-                    and self.failure_streak >= breaker_threshold()):
+                    and self.failure_streak >= BREAKER_THRESHOLD):
                 self._open()
 
     def record_other(self, probe: bool = False) -> None:
@@ -455,10 +428,10 @@ class KernelManager:
     def manage(self, kernel, mode: str) -> None:
         """Install the tiered call path on a fresh simulated-tier
         kernel.  ``async`` promotes immediately; ``hot`` arms the
-        invocation countdown at :func:`hot_threshold`."""
+        invocation countdown at :data:`HOT_THRESHOLD`."""
         kernel._record_tier_event("start", "simulated",
                                   detail=f"mode={mode}")
-        countdown = None if mode == "async" else hot_threshold()
+        countdown = None if mode == "async" else HOT_THRESHOLD
         kernel._impl = SimulatedDispatch(kernel, self, countdown)
         obs.counter("tiered.managed", mode=mode)
         if mode == "async":
@@ -479,7 +452,7 @@ class KernelManager:
 
         Admission control: returns ``None`` — and demotes the kernel to
         simulated-with-reason — when the circuit breaker refuses new
-        compiles or the background queue is at ``REPRO_QUEUE_BOUND``.
+        compiles or the background queue is at :data:`QUEUE_BOUND`.
         Joining an *existing* in-flight job is always admitted (it
         costs nothing).
         """
@@ -494,10 +467,10 @@ class KernelManager:
                            "environment is failing")
                 return None
             if not is_probe and \
-                    self._inflight.pending() >= queue_bound():
+                    self._inflight.pending() >= QUEUE_BOUND:
                 # probes bypass the bound: they are the recovery path
                 self._shed(kernel, f"compile queue at bound "
-                           f"({queue_bound()})")
+                           f"({QUEUE_BOUND})")
                 return None
         else:
             is_probe = False
@@ -541,8 +514,7 @@ class KernelManager:
         start = time.perf_counter()
         native = report = None
         reason: str | None = None
-        budget = compile_deadline()
-        deadline = None if budget is None else time.monotonic() + budget
+        deadline = time.monotonic() + COMPILE_DEADLINE
         with obs.span("tiered.compile", kernel=staged.name,
                       graph_hash=job.key) as compile_span:
             trace_id = obs.get_tracer().current_trace_id()

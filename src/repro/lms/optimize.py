@@ -46,10 +46,10 @@ raises exactly when, and what, the unoptimized graph raises.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import repro.obs as obs
+from repro.core.env import env_int
 from repro.lms import effects as fx
 from repro.lms.defs import (
     ArrayApply,
@@ -86,16 +86,10 @@ PASS_NAMES = ("simplify", "fold", "cse", "forward", "dce")
 
 def effective_level(level: int | None = None) -> int:
     """Resolve the middle-end level: an explicit argument wins, then
-    ``REPRO_OPT``, then the default (1).  Clamped to ``0..2``."""
+    ``REPRO_OPT`` (a malformed value warns), then the default (1).
+    Clamped to ``0..2``."""
     if level is None:
-        raw = os.environ.get("REPRO_OPT", "").strip()
-        if raw:
-            try:
-                level = int(raw)
-            except ValueError:
-                level = DEFAULT_LEVEL
-        else:
-            level = DEFAULT_LEVEL
+        level = env_int("REPRO_OPT", DEFAULT_LEVEL)
     return max(0, min(MAX_LEVEL, int(level)))
 
 

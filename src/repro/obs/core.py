@@ -7,8 +7,8 @@ Design constraints (see DESIGN.md §8):
   then hands out a shared no-op context manager and counter updates
   return immediately.
 * **Bounded memory.**  Finished spans land in a ring buffer
-  (``REPRO_OBS_RING`` entries, default 4096); a long-running process
-  never grows without bound.
+  (:data:`RING_CAPACITY` entries); a long-running process never grows
+  without bound.
 * **Thread safety.**  The span stack is thread-local (each thread owns
   its own tree); the ring buffer and the metrics registry take a lock
   only on update/snapshot.
@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.core.env import env_int
-
 __all__ = [
+    "RING_CAPACITY",
     "Span",
     "Tracer",
     "MetricsRegistry",
@@ -42,6 +41,9 @@ __all__ = [
 ]
 
 _FALSY = ("0", "off", "no", "false")
+
+#: Finished-span ring capacity of a :class:`Tracer`.
+RING_CAPACITY = 4096
 
 
 def obs_enabled() -> bool:
@@ -163,7 +165,7 @@ class Tracer:
 
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is None:
-            capacity = env_int("REPRO_OBS_RING", 4096, minimum=16)
+            capacity = RING_CAPACITY
         self._finished: deque[Span] = deque(maxlen=capacity)
         self._ids = itertools.count(1)
         self._traces = itertools.count(1)

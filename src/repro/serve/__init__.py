@@ -20,28 +20,28 @@ from repro.serve.daemon import (
     shutdown_local_daemons,
 )
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    SERVICE_TIMEOUT,
     FrameTooLargeError,
     ProtocolError,
-    max_frame_bytes,
     pid_path,
     service_socket_path,
-    service_timeout,
 )
 
 __all__ = [
     "DaemonAlreadyRunningError",
     "FrameTooLargeError",
     "KernelCompileDaemon",
+    "MAX_FRAME_BYTES",
     "ProtocolError",
+    "SERVICE_TIMEOUT",
     "ServiceError",
     "ServiceKernelManager",
     "ServiceUnavailableError",
     "daemon_available",
     "get_service_manager",
-    "max_frame_bytes",
     "pid_path",
     "reset_service",
     "service_socket_path",
-    "service_timeout",
     "shutdown_local_daemons",
 ]

@@ -48,15 +48,15 @@ from repro.codegen.compiler import (
     inspect_system,
 )
 from repro.codegen.native import NativeLinkError, required_isas
-from repro.core import resilience
+from repro.core import tiered
 from repro.core.cache import DiskKernelCache, default_cache, graph_hash
 from repro.core.resilience import acquire_native
-from repro.core.tiered import KernelManager, compile_deadline, service_mode
+from repro.core.tiered import KernelManager, service_mode
+from repro.serve import protocol
 from repro.serve.protocol import (
     ProtocolError,
     read_frame,
     service_socket_path,
-    service_timeout,
     write_frame,
 )
 
@@ -84,7 +84,8 @@ def request(message: dict[str, Any], *,
             reply_timeout: float | None = None) -> dict[str, Any]:
     """One request/response round-trip on a fresh connection.
 
-    Connect and handshake are bounded by ``REPRO_SERVICE_TIMEOUT``;
+    Connect and handshake are bounded by
+    :data:`repro.serve.protocol.SERVICE_TIMEOUT`;
     ``reply_timeout`` (default: the same) bounds the wait for the
     response frame — compile requests pass their remaining deadline.
     Any connection-level failure raises
@@ -93,7 +94,7 @@ def request(message: dict[str, Any], *,
     """
     path = Path(socket_path) if socket_path is not None \
         else service_socket_path()
-    connect_timeout = service_timeout()
+    connect_timeout = protocol.SERVICE_TIMEOUT
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         sock.settimeout(connect_timeout)
@@ -193,7 +194,7 @@ class ServiceKernelManager(KernelManager):
                     f"{staged.name!r} to the compile service")
             remaining = max(0.5, remaining)
         else:
-            remaining = compile_deadline() or 300.0
+            remaining = tiered.COMPILE_DEADLINE
         message = {
             "verb": "compile",
             "ghash": ghash,
@@ -213,10 +214,6 @@ class ServiceKernelManager(KernelManager):
 
     def _acquire(self, staged, deadline: float | None):
         mode = service_mode()
-        if not resilience._disk_enabled():
-            # without the shared disk tier the daemon cannot hand the
-            # artifact back; the service adds nothing
-            return acquire_native(staged, deadline=deadline)
         ghash = graph_hash(staged)
         isas = required_isas(staged)
         if self._artifact_published(ghash, isas):

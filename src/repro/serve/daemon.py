@@ -22,8 +22,8 @@ Three properties make it multi-tenant rather than just remote:
   warming 500 kernels cannot starve another client's single compile.
   Admission control reuses the PR 6 machinery: a
   :class:`repro.core.tiered.CircuitBreaker` sheds work while the
-  toolchain is broken, and ``REPRO_QUEUE_BOUND`` bounds distinct
-  in-flight jobs.
+  toolchain is broken, and :data:`repro.core.tiered.QUEUE_BOUND`
+  bounds distinct in-flight jobs.
 * **Crash-safe lifecycle.**  The socket and pid file are removed on
   every exit path (``stop``, atexit, the ``__main__`` SIGTERM handler);
   on startup a leftover socket whose pid-file owner is dead
@@ -58,14 +58,13 @@ from repro.codegen.compiler import (
     flag_ladder,
     inspect_system,
 )
+from repro.core import tiered
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.procutil import pid_alive
 from repro.core.tiered import (
     CircuitBreaker,
-    compile_deadline,
     compile_workers,
     environment_failure,
-    queue_bound,
 )
 from repro.serve.protocol import (
     FrameTooLargeError,
@@ -442,12 +441,13 @@ class KernelCompileDaemon:
                     return {"ok": False, "kind": "shed",
                             "error": "circuit breaker open: the "
                                      "compile environment is failing"}
-                if not is_probe and len(self._inflight) >= queue_bound():
+                if not is_probe and \
+                        len(self._inflight) >= tiered.QUEUE_BOUND:
                     self._counts["shed"] += 1
                     obs.counter("service.shed", reason="queue_bound")
                     return {"ok": False, "kind": "shed",
                             "error": f"compile queue at bound "
-                                     f"({queue_bound()})"}
+                                     f"({tiered.QUEUE_BOUND})"}
                 job = _ServiceJob(
                     ghash=ghash, name=request["name"],
                     symbol=request["symbol"],
@@ -469,8 +469,7 @@ class KernelCompileDaemon:
             obs.counter("service.dedup")
         timeout = request.get("timeout_s")
         if not isinstance(timeout, (int, float)) or timeout <= 0:
-            budget = compile_deadline()
-            timeout = (budget or 300.0) + 30.0
+            timeout = tiered.COMPILE_DEADLINE + 30.0
         if not job.event.wait(float(timeout)):
             self._bump("timeouts")
             obs.counter("service.errors", kind="timeout")
@@ -557,9 +556,7 @@ class KernelCompileDaemon:
                     return {"ok": True, "outcome": "cached", "key": key,
                             "compiler": cc.name, "flags": list(flags),
                             "attempts": 0}
-        budget = compile_deadline()
-        deadline = None if budget is None \
-            else time.monotonic() + budget
+        deadline = time.monotonic() + tiered.COMPILE_DEADLINE
         workroot = self._workroot or Path(tempfile.gettempdir())
         workdir = workroot / f"{next(self._build_seq):04d}-{job.name}"
         so_path, cc, flags = compile_with_fallback(

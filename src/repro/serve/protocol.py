@@ -4,8 +4,8 @@ One frame per message, in both directions: a 4-byte big-endian
 unsigned length followed by that many bytes of UTF-8 JSON encoding a
 single object.  Length-prefixing keeps the parser trivial and makes
 malformed input cheap to reject: a frame whose declared length is zero,
-not JSON, not an object, or larger than ``REPRO_SERVICE_MAX_FRAME``
-(default 8 MiB — generated C sources are the big payload) is a
+not JSON, not an object, or larger than :data:`MAX_FRAME_BYTES`
+(8 MiB — generated C sources are the big payload) is a
 :class:`ProtocolError` before any allocation proportional to the claim.
 
 Verbs (requests carry ``{"verb": ...}``, responses ``{"ok": ...}``):
@@ -33,18 +33,23 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.core.env import env_float, env_int
-
 __all__ = [
     "FrameTooLargeError",
+    "MAX_FRAME_BYTES",
     "ProtocolError",
-    "max_frame_bytes",
+    "SERVICE_TIMEOUT",
     "pid_path",
     "read_frame",
     "service_socket_path",
-    "service_timeout",
     "write_frame",
 ]
+
+#: Client-side connect/handshake timeout in seconds.  Compile replies
+#: get a separate budget derived from the compile deadline.
+SERVICE_TIMEOUT = 5.0
+
+#: Upper bound on one frame's payload in bytes.
+MAX_FRAME_BYTES = 8 << 20
 
 
 def service_socket_path() -> Path:
@@ -69,12 +74,6 @@ def pid_path(socket_path: Path | None = None) -> Path:
     return sock.with_name(sock.name + ".pid")
 
 
-def service_timeout() -> float:
-    """Client-side connect/handshake timeout in seconds
-    (``REPRO_SERVICE_TIMEOUT``, default 5).  Compile replies get a
-    separate budget derived from the compile deadline."""
-    return env_float("REPRO_SERVICE_TIMEOUT", 5.0, minimum=0.01)
-
 _LEN = struct.Struct(">I")
 
 
@@ -84,12 +83,6 @@ class ProtocolError(RuntimeError):
 
 class FrameTooLargeError(ProtocolError):
     """A frame's declared (or encoded) length exceeds the bound."""
-
-
-def max_frame_bytes() -> int:
-    """Upper bound on one frame's payload
-    (``REPRO_SERVICE_MAX_FRAME``, default 8 MiB)."""
-    return env_int("REPRO_SERVICE_MAX_FRAME", 8 << 20, minimum=1024)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -119,13 +112,12 @@ def read_frame(sock: socket.socket) -> dict[str, Any] | None:
     if len(header) < _LEN.size:  # pragma: no cover - _recv_exact raises
         raise ProtocolError("truncated frame header")
     (length,) = _LEN.unpack(header)
-    bound = max_frame_bytes()
     if length == 0:
         raise ProtocolError("zero-length frame")
-    if length > bound:
+    if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
             f"frame of {length} bytes exceeds the "
-            f"{bound}-byte bound (REPRO_SERVICE_MAX_FRAME)")
+            f"{MAX_FRAME_BYTES}-byte bound")
     body = _recv_exact(sock, length)
     if len(body) < length:
         raise ProtocolError("connection closed mid-frame")
@@ -144,8 +136,8 @@ def write_frame(sock: socket.socket, obj: dict[str, Any]) -> None:
     :class:`FrameTooLargeError` before sending anything when the
     encoded object exceeds the bound."""
     body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > max_frame_bytes():
+    if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
             f"encoded frame of {len(body)} bytes exceeds the "
-            f"{max_frame_bytes()}-byte bound")
+            f"{MAX_FRAME_BYTES}-byte bound")
     sock.sendall(_LEN.pack(len(body)) + body)

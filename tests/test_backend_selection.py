@@ -101,7 +101,7 @@ class TestFallbackInteraction:
                                        tmp_path):
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         monkeypatch.setenv("REPRO_CC", f"gcc={_broken_cc(tmp_path)}")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_RETRIES", 0)
         kernel = compile_staged(_make_fn(4.0), [array_of(FLOAT), INT32],
                                 name="auto_degrades", use_cache=False)
         assert kernel.backend == BackendKind.SIMULATED
@@ -121,7 +121,7 @@ class TestFallbackInteraction:
                                        tmp_path):
         monkeypatch.setenv("REPRO_BACKEND", "native")
         monkeypatch.setenv("REPRO_CC", f"gcc={_broken_cc(tmp_path)}")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_RETRIES", 0)
         with pytest.raises(CompileError):
             compile_staged(_make_fn(5.0), [array_of(FLOAT), INT32],
                            name="native_fails", use_cache=False)

@@ -4,7 +4,7 @@ Covers DESIGN.md §13 end to end: the batch-vs-loop differential
 contract (bit-identical results, array mutations and simulator op
 accounting on both simulator engines and the native tier, including
 whole-batch sweep fallbacks and a deterministic mid-batch hot-swap),
-the ``REPRO_BATCH_MAX`` chunk bound, and regressions for the three
+the ``BATCH_MAX`` chunk bound, and regressions for the three
 fixes riding along:
 
 * an expired compile deadline raises :class:`CompileDeadlineError`
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core import compile_staged
-from repro.core.batch import batch_max
 from repro.core.cache import DiskKernelCache, default_cache, graph_hash
 from repro.core.resilience import clear_session_state
 from repro.core.tiered import SimulatedDispatch
@@ -41,9 +40,9 @@ ENGINES = ("compiled", "tree")
 
 @pytest.fixture(autouse=True)
 def _pin_env(monkeypatch):
-    """Hermetic suite: ambient chaos/service/batch knobs (the CI matrix
-    sets them) must not perturb these exact assertions."""
-    for var in ("REPRO_FAULTS", "REPRO_SERVICE", "REPRO_BATCH_MAX"):
+    """Hermetic suite: ambient chaos/service knobs (the CI matrix sets
+    them) must not perturb these exact assertions."""
+    for var in ("REPRO_FAULTS", "REPRO_SERVICE"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -245,7 +244,7 @@ class TestExecuteBatchTiers:
         """A hot-swap landing mid-batch takes effect on the next chunk
         boundary: the old tier finishes its chunk atomically, every
         later chunk runs native, and results stay bit-identical."""
-        monkeypatch.setenv("REPRO_BATCH_MAX", "4")
+        monkeypatch.setattr("repro.core.batch.BATCH_MAX", 4)
         native_twin = compile_staged(scalar_saxpy, SAXPY_TYPES,
                                      name="batch_swap_native",
                                      backend="native", tier="sync",
@@ -280,13 +279,6 @@ class TestExecuteBatchTiers:
         for (a_loop, *_), (a_batch, *_) in zip(loop_entries,
                                                batch_entries):
             assert a_loop.tobytes() == a_batch.tobytes()
-
-    def test_env_knobs(self, monkeypatch):
-        assert batch_max() == 1024
-        monkeypatch.setenv("REPRO_BATCH_MAX", "0")
-        assert batch_max() == 1              # clamped
-        monkeypatch.setenv("REPRO_BATCH_MAX", "16")
-        assert batch_max() == 16
 
 
 # -- regression: the three bugfixes ------------------------------------

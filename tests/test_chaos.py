@@ -224,8 +224,8 @@ class TestShardedCache:
 class TestCircuitBreaker:
     @pytest.fixture
     def fast_breaker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "10")
+        monkeypatch.setattr("repro.core.tiered.BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr("repro.core.tiered.BREAKER_COOLDOWN", 10.0)
         clock = [0.0]
         breaker = CircuitBreaker(clock=lambda: clock[0])
         return breaker, clock
@@ -302,7 +302,7 @@ class TestWatchdog:
             compile_with_fallback,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "1.0")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_TIMEOUT", 1.0)
         obs.reset()
         cc = CompilerInfo("gcc", str(self._hang_cc(tmp_path)), "fake 1")
         attempts = []
@@ -329,7 +329,7 @@ class TestWatchdog:
             CompilerInfo,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "1.0")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_TIMEOUT", 1.0)
         monkeypatch.setenv("REPRO_FAULTS", "compile.hang")
         faults.reset()
         cc = CompilerInfo("gcc", "/usr/bin/gcc", "gcc")
@@ -350,7 +350,7 @@ class TestWatchdog:
             compile_with_fallback,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "30")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_TIMEOUT", 30.0)
         cc = CompilerInfo("gcc", str(self._hang_cc(tmp_path)), "fake 1")
         t0 = time.monotonic()
         with pytest.raises(CompileDeadlineError):
@@ -374,9 +374,9 @@ class TestBreakerIntegration:
 
     def test_open_breaker_sheds_then_probe_recovers(
             self, chaos_state, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "0.2")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr("repro.core.tiered.BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr("repro.core.tiered.BREAKER_COOLDOWN", 0.2)
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_RETRIES", 0)
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "1")
         # an unrunnable compiler: every attempt is an environment-level
         # transient ("could not be invoked")
@@ -413,7 +413,7 @@ class TestBreakerIntegration:
 
     def test_queue_bound_sheds_to_simulator(
             self, chaos_state, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE_BOUND", "1")
+        monkeypatch.setattr("repro.core.tiered.QUEUE_BOUND", 1)
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "1")
         slow = _write_script(tmp_path / "slow-cc",
                              _VERSION_PASSTHROUGH
@@ -461,8 +461,8 @@ class TestChaosDifferential:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_under_faults(self, chaos_state, monkeypatch,
                                         seed):
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "2.0")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_TIMEOUT", 2.0)
+        monkeypatch.setattr("repro.codegen.compiler.COMPILE_RETRIES", 0)
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
 
         monkeypatch.delenv("REPRO_FAULTS", raising=False)

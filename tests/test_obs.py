@@ -4,12 +4,15 @@ and the tolerant env-var helpers."""
 from __future__ import annotations
 
 import json
+import os
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 import repro.obs as obs
-from repro.core.env import env_float, env_int
+from repro.core.env import env_choice, env_int
 from repro.obs.core import (
     MetricsRegistry,
     Span,
@@ -311,41 +314,58 @@ class TestSimulatorProfile:
 
 class TestEnvHelpers:
     def test_defaults_when_unset(self, monkeypatch):
-        monkeypatch.delenv("X_FLOAT", raising=False)
-        assert env_float("X_FLOAT", 1.5) == 1.5
+        monkeypatch.delenv("X_INT", raising=False)
+        monkeypatch.delenv("X_MODE", raising=False)
         assert env_int("X_INT", 7) == 7
+        assert env_choice("X_MODE", ("a", "b"), "a") == "a"
 
     def test_parses_good_values(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "2.5")
         monkeypatch.setenv("X_INT", "9")
-        assert env_float("X_FLOAT", 1.0) == 2.5
+        monkeypatch.setenv("X_MODE", " B ")
         assert env_int("X_INT", 1) == 9
+        assert env_choice("X_MODE", ("a", "b"), "a") == "b"
 
     def test_malformed_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "soon")
         monkeypatch.setenv("X_INT", "3.5")
-        with pytest.warns(RuntimeWarning, match="X_FLOAT"):
-            assert env_float("X_FLOAT", 4.0) == 4.0
+        monkeypatch.setenv("X_MODE", "c")
         with pytest.warns(RuntimeWarning, match="X_INT"):
             assert env_int("X_INT", 2) == 2
+        with pytest.warns(RuntimeWarning, match="X_MODE"):
+            assert env_choice("X_MODE", ("a", "b"), "a") == "a"
 
     def test_minimum_clamps(self, monkeypatch):
         monkeypatch.setenv("X_INT", "-5")
         assert env_int("X_INT", 2, minimum=0) == 0
-        monkeypatch.setenv("X_FLOAT", "0")
-        assert env_float("X_FLOAT", 30.0, minimum=0.01) == 0.01
-
-    def test_smoke_timeout_tolerates_garbage(self, monkeypatch):
-        from repro.core.resilience import _smoke_timeout
-        monkeypatch.setenv("REPRO_SMOKE_TIMEOUT", "banana")
-        with pytest.warns(RuntimeWarning):
-            assert _smoke_timeout() == 30.0
 
     def test_compile_knobs_tolerate_garbage(self, monkeypatch):
-        from repro.codegen.compiler import _compile_timeout, _max_retries
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "NaNsense")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "two")
-        with pytest.warns(RuntimeWarning):
-            assert _compile_timeout() == 120.0
-        with pytest.warns(RuntimeWarning):
-            assert _max_retries() == 2
+        from repro.core.tiered import compile_workers
+        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "two")
+        with pytest.warns(RuntimeWarning, match="REPRO_COMPILE_WORKERS"):
+            assert compile_workers() == min(4, os.cpu_count() or 1)
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Deployment paths and addresses, then the modes CI, the benchmark or
+# the tests switch.  Everything else is a module constant.
+KNOBS = {
+    "REPRO_CACHE_DIR", "REPRO_SERVICE_SOCKET", "REPRO_CC",
+    "REPRO_OBS_TRACE_PATH",
+    "REPRO_BACKEND", "REPRO_TIER", "REPRO_OPT", "REPRO_SIM_EXEC",
+    "REPRO_SERVICE", "REPRO_FAULTS", "REPRO_OBS", "REPRO_OBS_PROFILE",
+    "REPRO_POLICY", "REPRO_COMPILE_WORKERS",
+}
+
+
+class TestKnobInventory:
+    def test_source_knobs_are_the_documented_knobs(self):
+        in_src: set[str] = set()
+        for path in (REPO_ROOT / "src").rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                in_src.update(m.decode() for m in re.findall(
+                    rb"REPRO_[A-Z0-9_]+", path.read_bytes()))
+        readme = (REPO_ROOT / "README.md").read_text()
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|",
+                                    readme, re.MULTILINE))
+        assert in_src == KNOBS
+        assert documented == KNOBS

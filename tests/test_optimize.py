@@ -558,8 +558,9 @@ class TestPlumbing:
         assert effective_level() == 2
         monkeypatch.setenv("REPRO_OPT", "9")
         assert effective_level() == 2
-        monkeypatch.setenv("REPRO_OPT", "junk")
-        assert effective_level() == 1
+        monkeypatch.setenv("REPRO_OPT", "two")
+        with pytest.warns(RuntimeWarning, match="REPRO_OPT='two'"):
+            assert effective_level() == 1
         assert effective_level(0) == 0  # explicit argument wins
 
     def test_level_zero_returns_input_unchanged(self):

@@ -33,7 +33,6 @@ def _pin_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_SERVICE", raising=False)
     monkeypatch.delenv("REPRO_POLICY", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_HIT_FLUSH", raising=False)
 
 
 @pytest.fixture

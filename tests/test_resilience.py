@@ -312,6 +312,31 @@ class TestSmokeAndQuarantine:
         # refused before any compiler ran
         assert exc.value.report.compiler_invocations == 0
 
+    def test_wedged_shard_lock_on_quarantine_still_degrades(
+            self, clean_state, monkeypatch):
+        """Invalidating the condemned artifact under a wedged shard
+        lock must not escape: the kernel stays quarantined and the
+        pipeline degrades to the simulator."""
+        from repro.core.cache import CacheLockTimeout
+
+        def wedged(self, shard):
+            raise CacheLockTimeout(f"shard lock in {shard} wedged")
+
+        monkeypatch.setattr(DiskKernelCache, "_acquire_shard_lock",
+                            wedged)
+        monkeypatch.setenv("REPRO_FAULTS", "smoke.kill_child:n=1")
+        kernel = compile_staged(build_unique(37.25, "wedged_k"),
+                                [array_of(FLOAT), INT32],
+                                name="wedged_k", backend="auto",
+                                tier="sync")
+        assert kernel.backend == BackendKind.SIMULATED
+        assert kernel.fallback_reason.startswith("quarantined:")
+        assert kernel.report.smoke == "crashed"
+        assert quarantined_kernels()
+        a = np.ones(8, np.float32)
+        kernel(a, 8)
+        assert a[0] == pytest.approx(2.0 + 37.25)
+
     def test_healthy_kernel_smoke_passes(self, clean_state):
         kernel = compile_staged(build_unique(23.5, "healthy_k"),
                                 [array_of(FLOAT), INT32],
@@ -470,7 +495,7 @@ class TestVersionThreading:
         assert "AVX" in required_isas(sf)
         assert "AVX" in required_isas(sf, version="3.2.2")
 
-    def test_required_isas_env_override(self, monkeypatch):
+    def test_required_isas_version_override(self):
         from repro.codegen.native import required_isas
         from repro.isa import load_isas
 
@@ -485,8 +510,7 @@ class TestVersionThreading:
             av._mm256_storeu_ps(a, v, 0)
 
         sf = stage_function(fn, [array_of(FLOAT)], "ldst_env")
-        monkeypatch.setenv("REPRO_SPEC_VERSION", "3.3.16")
-        assert "AVX" in required_isas(sf)
+        assert "AVX" in required_isas(sf, version="3.3.16")
 
 
 class TestValidateShadowCopies:

@@ -72,8 +72,7 @@ def serve_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
     for var in ("REPRO_FAULTS", "REPRO_SERVICE", "REPRO_CC",
-                "REPRO_TIER", "REPRO_SERVICE_TIMEOUT",
-                "REPRO_SERVICE_MAX_FRAME"):
+                "REPRO_TIER"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()
@@ -183,7 +182,7 @@ def test_read_frame_rejects_malformed(payload, error):
 
 
 def test_write_frame_bounds_encoded_size(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_MAX_FRAME", "1024")
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
     a, b = socket.socketpair()
     try:
         with pytest.raises(protocol.FrameTooLargeError):
@@ -202,8 +201,8 @@ def test_request_unreachable_socket(serve_env):
 
 def test_reply_timeout_is_bounded(serve_env, monkeypatch):
     """A daemon that accepts but never replies cannot wedge the client
-    past REPRO_SERVICE_TIMEOUT."""
-    monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "0.3")
+    past the service timeout."""
+    monkeypatch.setattr(protocol, "SERVICE_TIMEOUT", 0.3)
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     listener.bind(str(serve_env))
     listener.listen(1)
@@ -332,7 +331,7 @@ def test_require_demotes_when_unreachable(serve_env, monkeypatch):
     never an exception into callers."""
     monkeypatch.setenv("REPRO_SERVICE", "require")
     monkeypatch.setenv("REPRO_TIER", "async")
-    monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "0.2")
+    monkeypatch.setattr(protocol, "SERVICE_TIMEOUT", 0.2)
     kernel = compile_staged(build_unique(0.25, "srv_req_down"),
                             [array_of(FLOAT), INT32],
                             backend="auto", name="srv_req_down")
@@ -349,7 +348,7 @@ def test_auto_falls_back_in_process(serve_env, monkeypatch):
     """REPRO_SERVICE=auto with no daemon compiles exactly as before."""
     monkeypatch.setenv("REPRO_SERVICE", "auto")
     monkeypatch.setenv("REPRO_TIER", "async")
-    monkeypatch.setenv("REPRO_SERVICE_TIMEOUT", "0.2")
+    monkeypatch.setattr(protocol, "SERVICE_TIMEOUT", 0.2)
     kernel = compile_staged(build_unique(0.5, "srv_auto_down"),
                             [array_of(FLOAT), INT32],
                             backend="auto", name="srv_auto_down")

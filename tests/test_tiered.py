@@ -27,7 +27,6 @@ from repro.core.resilience import clear_session_state, quarantined_kernels
 from repro.core.tiered import (
     compile_workers,
     default_manager,
-    hot_threshold,
     tier_mode,
 )
 from repro.lms import forloop
@@ -71,7 +70,6 @@ def tiered_state(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
     monkeypatch.delenv("REPRO_CC", raising=False)
     monkeypatch.delenv("REPRO_TIER", raising=False)
-    monkeypatch.delenv("REPRO_HOT_THRESHOLD", raising=False)
     default_cache.clear()
     clear_session_state()
     yield cache_dir
@@ -135,11 +133,6 @@ class TestEnvKnobs:
         assert compile_workers() == 3
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "0")
         assert compile_workers() == 1          # clamped
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "5")
-        assert hot_threshold() == 5
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "nope")
-        with pytest.warns(RuntimeWarning):
-            assert hot_threshold() == 8
 
     def test_unknown_tier_argument_raises(self, tiered_state):
         with pytest.raises(ValueError, match="unknown tier"):
@@ -220,7 +213,7 @@ class TestAsyncTier:
 class TestHotTier:
     def test_promotion_waits_for_invocation_threshold(
             self, tiered_state, monkeypatch):
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "3")
+        monkeypatch.setattr("repro.core.tiered.HOT_THRESHOLD", 3)
         kernel = compile_staged(build_unique(9.5, "hot_k"),
                                 [array_of(FLOAT), INT32],
                                 name="hot_k", tier="hot")
@@ -239,7 +232,7 @@ class TestHotTier:
 
     def test_wait_native_forces_promotion_before_threshold(
             self, tiered_state, monkeypatch):
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "1000")
+        monkeypatch.setattr("repro.core.tiered.HOT_THRESHOLD", 1000)
         kernel = compile_staged(build_unique(10.5, "hotforce_k"),
                                 [array_of(FLOAT), INT32],
                                 name="hotforce_k", tier="hot")
