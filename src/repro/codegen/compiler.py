@@ -420,8 +420,6 @@ def compile_with_fallback(source: str, workdir: Path,
     rungs: list[tuple[CompilerInfo, str, list[str]]] = [
         (cc, rung, fl) for cc in ccs
         for rung, fl in flag_ladder(cc, isas, required)]
-    family = policy.family_of(name)
-    table = policy.get_policy() if policy.recording() else None
 
     last: CompileError | None = None
     invocations = 0
@@ -470,9 +468,7 @@ def compile_with_fallback(source: str, workdir: Path,
                     cc.name, cc.version, rung, tuple(fl), outcome,
                     detail, duration))
             if outcome == "ok":
-                if table is not None:
-                    table.record(family, "ladder", f"{cc.name}/{rung}",
-                                 True)
+                policy.record(name, "ladder", f"{cc.name}/{rung}", True)
                 obs.observe("policy.ladder.attempts_per_success",
                             float(invocations))
                 return so, cc, tuple(fl)
@@ -486,9 +482,7 @@ def compile_with_fallback(source: str, workdir: Path,
                     sleep(pause)
                 continue
             # this rung is abandoned; the ladder moves on
-            if table is not None:
-                table.record(family, "ladder", f"{cc.name}/{rung}",
-                             False)
+            policy.record(name, "ladder", f"{cc.name}/{rung}", False)
             obs.counter("compile.downgrades")
             break
     raise PermanentCompileError(

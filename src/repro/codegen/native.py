@@ -426,45 +426,43 @@ class NativeArtifact:
     flags: tuple[str, ...] = ()
 
 
-def build_native(staged: StagedFunction,
+def export_source(staged: StagedFunction) -> tuple[str, str]:
+    """The exported symbol name and the generated C source that defines
+    it: what the local build compiles and what a service request
+    ships."""
+    symbol = EXPORT_PREFIX + staged.name
+    with obs.span("emit", kernel=staged.name):
+        return symbol, emit_c_source(staged, export_name=symbol)
+
+
+def build_native(staged: StagedFunction, isas: frozenset[str],
                  workdir: str | Path | None = None,
-                 check_isas: bool = True,
                  compilers: Sequence[CompilerInfo] | None = None,
                  attempts: list[CompileAttempt] | None = None,
                  max_retries: int | None = None,
                  deadline: float | None = None) -> NativeArtifact:
     """Generate C and compile it down the fallback ladder — no linking.
 
-    The returned artifact has not been loaded into this process; link
-    it with :func:`link_native` (or let
+    ``isas`` is the kernel's :func:`required_isas` set, resolved (and
+    checked against the host) by the caller.  The returned artifact
+    has not been loaded into this process; link it with
+    :func:`link_native` (or let
     :func:`repro.core.resilience.acquire_native` smoke-test it first).
     ``deadline`` (absolute ``time.monotonic()``) bounds the whole
     ladder walk; see :func:`compile_with_fallback`.
     """
-    system = inspect_system()
-    ccs = list(compilers) if compilers is not None \
-        else list(compiler_chain(system))
-    if not ccs:
-        raise NativeLinkError("no C compiler available")
-
-    isas = required_isas(staged)
-    if check_isas:
-        check_kernel_isas(staged.name, isas, system, ccs)
-
-    symbol = EXPORT_PREFIX + staged.name
-    with obs.span("emit", kernel=staged.name):
-        source = emit_c_source(staged, export_name=symbol)
+    symbol, source = export_source(staged)
     wd = Path(workdir) if workdir is not None else \
         _session_workdir(staged.name)
     with obs.span("compile", kernel=staged.name) as compile_span:
         so_path, cc, flags = compile_with_fallback(
-            source, wd, isas, required=isas, compilers=ccs,
+            source, wd, isas, required=isas, compilers=compilers,
             name=staged.name, attempts=attempts, max_retries=max_retries,
             deadline=deadline)
         compile_span.set("compiler", cc.name)
         compile_span.set("flags", flags)
     return NativeArtifact(staged=staged, c_source=source, so_path=so_path,
-                          symbol=symbol, isas=isas, system=system,
+                          symbol=symbol, isas=isas, system=inspect_system(),
                           compiler=cc, flags=flags)
 
 
@@ -500,13 +498,18 @@ def link_native(artifact: NativeArtifact) -> NativeKernel:
 
 
 def compile_to_native(staged: StagedFunction,
-                      workdir: str | Path | None = None,
-                      check_isas: bool = True) -> NativeKernel:
+                      workdir: str | Path | None = None) -> NativeKernel:
     """Generate C, compile it and link it back (Figure 3's runtime path).
 
     This is the direct, trusting path: no smoke-run, no quarantine, no
     disk cache.  The managed pipeline (:mod:`repro.core.pipeline`) goes
     through :func:`repro.core.resilience.acquire_native` instead.
     """
-    return link_native(build_native(staged, workdir=workdir,
-                                    check_isas=check_isas))
+    system = inspect_system()
+    ccs = list(compiler_chain(system))
+    if not ccs:
+        raise NativeLinkError("no C compiler available")
+    isas = required_isas(staged)
+    check_kernel_isas(staged.name, isas, system, ccs)
+    return link_native(build_native(staged, isas, workdir=workdir,
+                                    compilers=ccs))

@@ -404,27 +404,6 @@ class DiskKernelCache:
             finally:
                 lock.release()
 
-    def contains(self, key: str) -> bool:
-        """Whether both halves of ``key`` are present, by ``stat`` alone.
-
-        A pure existence probe for planners (e.g. the service client's
-        "is any ladder rung already published?" scan): no payload
-        reads, no checksum validation, and — unlike :meth:`get` — no
-        hit-count bump or recency touch, so probing every ladder rung
-        cannot inflate the ``(hits, recency)`` eviction ranking with
-        non-serving hits.  A torn pair may answer ``True``; the
-        serving-path :meth:`get` still validates before anything is
-        linked.
-        """
-        so_path, meta_path = self._paths(key)
-        try:
-            found = so_path.is_file() and meta_path.is_file()
-        except OSError:
-            found = False
-        obs.counter("cache.disk.probes",
-                    outcome="present" if found else "absent")
-        return found
-
     def invalidate(self, key: str) -> None:
         """Remove an entry (e.g. after its artifact was quarantined).
 

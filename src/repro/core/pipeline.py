@@ -299,23 +299,18 @@ def _pick_backend(staged: StagedFunction, requested: str) -> tuple[
     """
     if requested == "simulated":
         return BackendKind.SIMULATED, None, None, None
-    family = policy.family_of(staged.name)
-    table = policy.get_policy() if policy.recording() else None
     try:
         native, report = acquire_native(staged)
-        if table is not None:
-            table.record(family, "backend", "native", True)
+        policy.record(staged.name, "backend", "native", True)
         return BackendKind.NATIVE, native, None, report
     except KernelQuarantinedError as exc:
-        if table is not None:
-            table.record(family, "backend", "native", False)
+        policy.record(staged.name, "backend", "native", False)
         if requested == "native":
             raise
         return (BackendKind.SIMULATED, None,
                 f"quarantined: {exc.reason}", exc.report)
     except (NativeLinkError, CompileError) as exc:
-        if table is not None:
-            table.record(family, "backend", "native", False)
+        policy.record(staged.name, "backend", "native", False)
         if requested == "native":
             raise
         return (BackendKind.SIMULATED, None, str(exc),

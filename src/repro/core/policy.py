@@ -43,6 +43,7 @@ __all__ = [
     "family_of",
     "get_policy",
     "policy_mode",
+    "record",
     "recording",
     "reset_tables",
 ]
@@ -263,6 +264,13 @@ def get_policy() -> PolicyTable:
             table = PolicyTable(directory)
             _tables[directory] = table
         return table
+
+
+def record(name: str, kind: str, choice: str, success: bool) -> None:
+    """Record one settled decision under kernel ``name``'s family in
+    the current table; a no-op unless :func:`recording`."""
+    if recording():
+        get_policy().record(family_of(name), kind, choice, success)
 
 
 def reset_tables(flush: bool = True) -> None:

@@ -23,6 +23,11 @@ the harness layer around both:
   compiler entirely (visible as ``cache_source == "disk"`` with zero
   attempts in the report).
 
+:func:`acquire_native` is the one acquisition path; on a disk miss it
+runs a build step, :func:`build_locally` unless the caller (the
+compile-service client) passes its own.  :func:`ladder_keys` and
+:func:`publish_artifact` are shared with the compile daemon.
+
 Exception taxonomy: :class:`TransientCompileError` (retryable),
 :class:`PermanentCompileError` (ladder moves on), and
 :class:`KernelQuarantinedError` (this session will not link the kernel).
@@ -40,7 +45,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,7 +84,11 @@ __all__ = [
     "PermanentCompileError",
     "TransientCompileError",
     "acquire_native",
+    "build_locally",
     "clear_session_state",
+    "find_published",
+    "ladder_keys",
+    "publish_artifact",
     "quarantined_kernels",
 ]
 
@@ -413,60 +423,71 @@ def smoke_test_artifact(artifact: NativeArtifact,
 
 
 # ---------------------------------------------------------------------------
-# The acquisition path: disk cache → ladder compile → smoke → link.
+# The acquisition path: disk probe → build → publish → smoke → link.
 
-def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
-                 ghash: str, isas: frozenset[str],
-                 ccs: Sequence[CompilerInfo], system: SystemInfo,
-                 report: CompileReport) -> NativeArtifact | None:
-    """Probe the disk tier under every key the ladder could produce,
-    preferred configuration first."""
+def ladder_keys(ghash: str, isas: frozenset[str],
+                ccs: Sequence[CompilerInfo]
+                ) -> Iterator[tuple[str, CompilerInfo, tuple[str, ...]]]:
+    """Every ``(disk key, compiler, flags)`` the compiler ladder could
+    produce for a kernel, preferred configuration first."""
     for cc in ccs:
         for _rung, flags in flag_ladder(cc, isas, required=isas):
-            key = DiskKernelCache.artifact_key(ghash, cc.version, flags,
-                                               isas)
-            entry = disk.get(key)
-            if entry is None:
-                continue
+            yield (DiskKernelCache.artifact_key(ghash, cc.version, flags,
+                                                isas), cc, tuple(flags))
+
+
+def find_published(disk: DiskKernelCache, staged: StagedFunction,
+                   ghash: str, isas: frozenset[str],
+                   ccs: Sequence[CompilerInfo], system: SystemInfo
+                   ) -> tuple[NativeArtifact, str] | None:
+    """The first artifact published under any :func:`ladder_keys` key,
+    with that key."""
+    for key, cc, flags in ladder_keys(ghash, isas, ccs):
+        entry = disk.get(key)
+        if entry is not None:
             meta = entry.meta
-            report.cache_source = "disk"
-            report.compiler = cc.name
-            report.compiler_version = cc.version
-            report.flags = tuple(flags)
             return NativeArtifact(
                 staged=staged,
                 c_source=meta.get("c_source", ""),
                 so_path=entry.so_path,
                 symbol=meta.get("symbol", ""),
                 isas=frozenset(meta.get("isas", sorted(isas))),
-                system=system, compiler=cc, flags=tuple(flags))
+                system=system, compiler=cc, flags=flags), key
     return None
 
 
-def _disk_store(disk: DiskKernelCache, artifact: NativeArtifact,
-                ghash: str) -> None:
-    if artifact.compiler is None:
-        return
-    try:
-        blob = artifact.so_path.read_bytes()
-    except OSError:
-        return
-    key = DiskKernelCache.artifact_key(
-        ghash, artifact.compiler.version, artifact.flags, artifact.isas)
-    meta = {
+def publish_artifact(disk: DiskKernelCache, ghash: str,
+                     isas: frozenset[str], cc: CompilerInfo,
+                     flags: Sequence[str], so_path: Path, symbol: str,
+                     c_source: str, **stamp: Any) -> str:
+    """Put a compiled library and its manifest into the disk tier under
+    its ladder key, and return the key.  ``stamp`` adds manifest fields
+    (the daemon's ``published_by``); ``OSError`` propagates."""
+    key = DiskKernelCache.artifact_key(ghash, cc.version, flags, isas)
+    disk.put(key, so_path.read_bytes(), {
         "graph_hash": ghash,
-        "symbol": artifact.symbol,
-        "c_source": artifact.c_source,
-        "isas": sorted(artifact.isas),
-        "compiler": artifact.compiler.name,
-        "compiler_version": artifact.compiler.version,
-        "flags": list(artifact.flags),
+        "symbol": symbol,
+        "c_source": c_source,
+        "isas": sorted(isas),
+        "compiler": cc.name,
+        "compiler_version": cc.version,
+        "flags": list(flags),
         "created": time.time(),
-    }
-    try:
-        disk.put(key, blob, meta)
-    except OSError:
-        pass  # a full or read-only cache never blocks compilation
+        **stamp,
+    })
+    return key
+
+
+def build_locally(staged: StagedFunction, isas: frozenset[str],
+                  ccs: Sequence[CompilerInfo], system: SystemInfo,
+                  report: CompileReport, deadline: float | None,
+                  max_retries: int | None
+                  ) -> tuple[NativeArtifact, str | None]:
+    """The default build step of :func:`acquire_native`: the compiler
+    ladder, in this process."""
+    return build_native(staged, isas, compilers=ccs,
+                        attempts=report.attempts, max_retries=max_retries,
+                        deadline=deadline), None
 
 
 def _artifact_token(ghash: str, so_path) -> tuple[str, str]:
@@ -482,12 +503,19 @@ def acquire_native(staged: StagedFunction, *,
                    compilers: Sequence[CompilerInfo] | None = None,
                    max_retries: int | None = None,
                    deadline: float | None = None,
+                   build: Callable[..., tuple[NativeArtifact, str | None]]
+                   | None = None,
                    ) -> tuple[NativeKernel, CompileReport]:
     """Produce a trusted, linked native kernel — or refuse loudly.
 
-    The full resilience path: quarantine check, disk-cache probe,
-    ladder compile (with retries), disk-cache store, forked smoke-run,
-    then (and only then) ``ctypes`` linking into this process.
+    The one native-acquisition path: quarantine check, ISA resolution
+    (once), disk-cache probe, build, publish, forked smoke-run, then
+    (and only then) ``ctypes`` linking into this process.  On a disk
+    miss ``build`` (default :func:`build_locally`) is called with
+    ``(staged, isas, compilers, system, report, deadline,
+    max_retries)`` and returns ``(artifact, key)``: ``key`` is the disk
+    key of an already published artifact, or ``None`` for a fresh one
+    this function publishes.
     ``deadline`` (absolute ``time.monotonic()``) bounds the compile
     ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`.
     Raises :class:`KernelQuarantinedError`,
@@ -523,29 +551,33 @@ def acquire_native(staged: StagedFunction, *,
 
         disk = default_cache.disk
         with obs.span("disk_probe") as probe_span:
-            artifact = _disk_lookup(disk, staged, ghash, isas, ccs,
-                                    system, report)
+            found = find_published(disk, staged, ghash, isas, ccs, system)
             probe_span.set(
-                "outcome", "hit" if artifact is not None else "miss")
+                "outcome", "hit" if found is not None else "miss")
         obs.counter("acquire.disk_probe",
-                    outcome="hit" if artifact is not None else "miss")
-        if artifact is None:
+                    outcome="hit" if found is not None else "miss")
+        if found is None:
             try:
-                artifact = build_native(staged, check_isas=False,
-                                        compilers=ccs,
-                                        attempts=report.attempts,
-                                        max_retries=max_retries,
-                                        deadline=deadline)
-            except CompileError as err:
+                found = (build or build_locally)(
+                    staged, isas, ccs, system, report, deadline,
+                    max_retries)
+            except (CompileError, NativeLinkError) as err:
                 report.fallback_reason = str(err)
                 err.report = report  # type: ignore[attr-defined]
                 raise
-            report.cache_source = "compiled"
-            if artifact.compiler is not None:
-                report.compiler = artifact.compiler.name
-                report.compiler_version = artifact.compiler.version
-                report.flags = artifact.flags
-            _disk_store(disk, artifact, ghash)
+        artifact, key = found
+        cc = artifact.compiler
+        report.cache_source = "compiled" if key is None else "disk"
+        report.compiler = cc.name
+        report.compiler_version = cc.version
+        report.flags = artifact.flags
+        if key is None:
+            try:
+                key = publish_artifact(
+                    disk, ghash, artifact.isas, cc, artifact.flags,
+                    artifact.so_path, artifact.symbol, artifact.c_source)
+            except OSError:
+                pass  # a full or read-only cache never blocks compilation
         acq_span.set("cache_source", report.cache_source)
 
         with obs.span("smoke", kernel=staged.name) as smoke_span:
@@ -563,11 +595,9 @@ def acquire_native(staged: StagedFunction, *,
                     smoke_span.set("verdict", report.smoke)
                     obs.counter("smoke.verdicts", status=report.smoke)
                     quarantine(ghash, reason)
-                    if artifact.compiler is not None:
+                    if key is not None:
                         # never serve a condemned artifact to others
-                        disk.invalidate(DiskKernelCache.artifact_key(
-                            ghash, artifact.compiler.version,
-                            artifact.flags, artifact.isas))
+                        disk.invalidate(key)
                     report.fallback_reason = f"quarantined: {reason}"
                     raise KernelQuarantinedError(ghash, reason, report)
                 if verdict.status == "passed":

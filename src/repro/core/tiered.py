@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import repro.obs as obs
-from repro.codegen.compiler import CompileError
+from repro.codegen.compiler import CompileAttempt, CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
 from repro.core import policy
 from repro.core.cache import CompileJob, InflightCompiles, graph_hash
@@ -133,7 +133,7 @@ COMPILE_DEADLINE = 300.0
 _BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 
 # reason substrings that implicate the toolchain/host rather than one
-# kernel's code (see CircuitBreaker and _environment_failure)
+# kernel's code (see CircuitBreaker and environment_failure)
 _ENV_FAILURE_MARKERS = (
     "no c compiler",
     "could not be invoked",
@@ -144,11 +144,12 @@ _ENV_FAILURE_MARKERS = (
 )
 
 
-def environment_failure(reason: str | None, report=None) -> bool:
+def environment_failure(reason: str | None,
+                        attempts: Sequence[CompileAttempt] = ()) -> bool:
     """Whether a failed compile implicates the environment (feeds the
     breaker) rather than the kernel's own code.
 
-    Environment-level: every recorded ladder attempt transient
+    Environment-level: every ladder attempt in ``attempts`` transient
     (timeouts, watchdog kills, failed execs, an unreachable compile
     service), or a reason carrying one of the toolchain-failure
     markers.  Kernel-level: permanent diagnostics, quarantines, link
@@ -158,7 +159,6 @@ def environment_failure(reason: str | None, report=None) -> bool:
     text = (reason or "").lower()
     if any(marker in text for marker in _ENV_FAILURE_MARKERS):
         return True
-    attempts = getattr(report, "attempts", None) or []
     return bool(attempts) and all(
         a.outcome == "transient" for a in attempts)
 
@@ -497,16 +497,12 @@ class KernelManager:
 
     # -- worker side ---------------------------------------------------
 
-    # kept as a method name for callers/tests; the logic is module-level
-    # so the serve daemon shares the exact taxonomy
-    _environment_failure = staticmethod(environment_failure)
-
     def _acquire(self, staged, deadline: float | None):
         """The compile backend: produce ``(NativeKernel, report)`` for
         one staged kernel.  The base manager compiles in-process;
         :class:`repro.serve.client.ServiceKernelManager` overrides this
-        to delegate the compile to the daemon and link the published
-        artifact locally."""
+        to give :func:`acquire_native` the compile service's build
+        step."""
         return acquire_native(staged, deadline=deadline)
 
     def _run_job(self, job: CompileJob) -> str:
@@ -532,15 +528,13 @@ class KernelManager:
                 "outcome", "native" if native is not None else "demoted")
         if native is not None:
             self.breaker.record_success(probe=job.is_probe)
-        elif self._environment_failure(reason, report):
+        elif environment_failure(
+                reason, report.attempts if report is not None else ()):
             self.breaker.record_env_failure(probe=job.is_probe)
         else:
             self.breaker.record_other(probe=job.is_probe)
         duration = time.perf_counter() - start
-        if policy.recording():
-            policy.get_policy().record(policy.family_of(staged.name),
-                                       "tier", "promote",
-                                       native is not None)
+        policy.record(staged.name, "tier", "promote", native is not None)
         obs.observe("tiered.compile.seconds", duration)
         trace = obs.get_tracer().spans_for_trace(trace_id) \
             if trace_id is not None else []

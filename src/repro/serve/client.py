@@ -1,15 +1,17 @@
 """The client side of the kernel compilation service.
 
 :class:`ServiceKernelManager` is a drop-in :class:`KernelManager`
-whose compile backend delegates to the daemon: instead of walking the
-compiler ladder in-process, ``_acquire`` ships the kernel's generated C
-to ``python -m repro.serve`` over the Unix socket, waits for the daemon
-to publish the artifact into the shared sharded
-:class:`~repro.core.cache.DiskKernelCache`, then runs the ordinary
-local :func:`~repro.core.resilience.acquire_native` — which now disk-
-hits, smoke-tests and links without ever invoking a compiler.  The
-``.so`` is always loaded by the process that will call it; the daemon
-never links.
+whose compiles go through the daemon.  It runs the ordinary
+:func:`~repro.core.resilience.acquire_native` and overrides only its
+build step: the quarantine check, ISA resolution, disk probe, smoke run
+and link stay in the one acquisition path.  On a disk miss the build
+step ships the kernel's generated C to ``python -m repro.serve`` over
+the Unix socket, waits for the daemon to publish the artifact into the
+shared sharded :class:`~repro.core.cache.DiskKernelCache`, and reads it
+back through :func:`~repro.core.resilience.find_published` — no
+compiler runs locally, and a kernel whose artifact is already published
+(or which this host refuses) never reaches the daemon.  The ``.so`` is
+always loaded by the process that will call it; the daemon never links.
 
 Selection is by ``REPRO_SERVICE`` (see
 :func:`repro.core.tiered.service_mode`), consulted by
@@ -38,19 +40,17 @@ from pathlib import Path
 from typing import Any
 
 import repro.obs as obs
-from repro.codegen.cgen import EXPORT_PREFIX, emit_c_source
 from repro.codegen.compiler import (
     CompileDeadlineError,
     PermanentCompileError,
     TransientCompileError,
     compiler_chain,
-    flag_ladder,
-    inspect_system,
 )
-from repro.codegen.native import NativeLinkError, required_isas
+from repro.codegen.native import NativeLinkError, export_source
 from repro.core import tiered
-from repro.core.cache import DiskKernelCache, default_cache, graph_hash
-from repro.core.resilience import acquire_native
+from repro.core.cache import default_cache
+from repro.core.resilience import acquire_native, build_locally, \
+    find_published
 from repro.core.tiered import KernelManager, service_mode
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -141,7 +141,8 @@ class ServiceKernelManager(KernelManager):
 
     Everything above the compile backend — tier dispatch, hot-swap,
     single-flight, the client-side circuit breaker, queue bound — is
-    inherited unchanged; only :meth:`_acquire` differs.  The client-
+    inherited unchanged; :meth:`_acquire` only swaps the build step of
+    :func:`acquire_native` for :meth:`_build`.  The client-
     side breaker still matters: when the daemon is unreachable in
     ``require`` mode every job fails with an environment-level reason,
     so the breaker opens and stops even *enqueuing* doomed jobs.
@@ -158,32 +159,10 @@ class ServiceKernelManager(KernelManager):
         return self._socket_path if self._socket_path is not None \
             else service_socket_path()
 
-    def _artifact_published(self, ghash: str,
-                            isas: frozenset[str]) -> bool:
-        """Cheap local probe: skip the daemon round-trip entirely when
-        any ladder-producible artifact is already on disk.
-
-        Uses :meth:`DiskKernelCache.contains` — a stat-only existence
-        check — rather than ``get``: probing every ladder rung with
-        ``get`` would read and checksum full artifact pairs and bump a
-        manifest hit count per rung, inflating the (hits, recency)
-        eviction ranking with probes that never serve anything.  The
-        serving path (``acquire_native``) still goes through ``get``
-        and records the one real hit."""
-        disk = default_cache.disk
-        for cc in compiler_chain(inspect_system()):
-            for _rung, flags in flag_ladder(cc, isas, required=isas):
-                key = DiskKernelCache.artifact_key(ghash, cc.version,
-                                                   flags, isas)
-                if disk.contains(key):
-                    return True
-        return False
-
     def _remote_compile(self, staged, ghash: str,
                         isas: frozenset[str],
                         deadline: float | None) -> dict[str, Any]:
-        symbol = EXPORT_PREFIX + staged.name
-        source = emit_c_source(staged, export_name=symbol)
+        symbol, source = export_source(staged)
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -213,15 +192,25 @@ class ServiceKernelManager(KernelManager):
         return response
 
     def _acquire(self, staged, deadline: float | None):
+        return acquire_native(staged, deadline=deadline, build=self._build)
+
+    def _build(self, staged, isas, ccs, system, report, deadline,
+               max_retries):
+        """The build step this manager gives :func:`acquire_native`:
+        the daemon compiles and publishes, and the artifact is read
+        back through :func:`find_published`.  A fallback to
+        :func:`build_locally` detects the compiler chain afresh, as a
+        new acquire would after the round trip."""
         mode = service_mode()
-        ghash = graph_hash(staged)
-        isas = required_isas(staged)
-        if self._artifact_published(ghash, isas):
-            obs.counter("service.client.requests", outcome="local_hit")
-            return acquire_native(staged, deadline=deadline)
+        ghash = report.graph_hash
+
+        def local(reason: str):
+            obs.counter("service.client.fallback", reason=reason)
+            return build_locally(staged, isas, compiler_chain(), system,
+                                 report, deadline, max_retries)
+
         try:
-            response = self._remote_compile(staged, ghash, isas,
-                                            deadline)
+            response = self._remote_compile(staged, ghash, isas, deadline)
         except ServiceError as exc:
             obs.counter("service.client.requests",
                         outcome="unreachable")
@@ -230,16 +219,17 @@ class ServiceKernelManager(KernelManager):
                     f"compile service unreachable "
                     f"(REPRO_SERVICE=require): {exc}")
                 raise err from exc
-            obs.counter("service.client.fallback", reason="unreachable")
-            return acquire_native(staged, deadline=deadline)
+            return local("unreachable")
         if response.get("ok"):
             obs.counter("service.client.requests",
                         outcome=str(response.get("outcome", "ok")))
             if response.get("dedup"):
                 obs.counter("service.client.dedup")
-            # the artifact is on disk: this is a probe+smoke+link, no
-            # compiler runs locally
-            return acquire_native(staged, deadline=deadline)
+            # a miss here means the artifact was evicted since, or was
+            # built by a toolchain this host does not have
+            return find_published(default_cache.disk, staged, ghash,
+                                  isas, ccs, system) \
+                or local("unpublished")
         kind = str(response.get("kind", "error"))
         error = str(response.get("error") or "service compile failed")
         obs.counter("service.client.requests", outcome=kind)
@@ -248,8 +238,7 @@ class ServiceKernelManager(KernelManager):
                 raise TransientCompileError(
                     f"compile service refused the request ({kind}): "
                     f"{error}")
-            obs.counter("service.client.fallback", reason=kind)
-            return acquire_native(staged, deadline=deadline)
+            return local(kind)
         # a reported compile failure is deterministic: retrying locally
         # would walk the same ladder to the same diagnostics
         raise PermanentCompileError(

@@ -55,12 +55,12 @@ from repro.codegen.compiler import (
     PermanentCompileError,
     compile_with_fallback,
     compiler_chain,
-    flag_ladder,
     inspect_system,
 )
 from repro.core import tiered
-from repro.core.cache import DiskKernelCache, default_cache
+from repro.core.cache import default_cache
 from repro.core.procutil import pid_alive
+from repro.core.resilience import ladder_keys, publish_artifact
 from repro.core.tiered import (
     CircuitBreaker,
     compile_workers,
@@ -152,6 +152,10 @@ class KernelCompileDaemon:
         self._inflight: dict[str, _ServiceJob] = {}
         self._stopping = False
         self._started = False
+        # the thread of the current or last stop(), and its completion
+        self._stopper: int | None = None
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._workroot: Path | None = None
         self._build_seq = itertools.count()
         self._counts = {key: 0 for key in (
@@ -230,13 +234,29 @@ class KernelCompileDaemon:
     def stop(self) -> None:
         """Stop serving and remove the socket and pid file.  Safe to
         call from any thread, any number of times, including from a
-        SIGTERM handler and atexit."""
+        SIGTERM handler and atexit.  A call that finds a stop in
+        progress on another thread returns once that stop finishes; a
+        re-entrant one on the stopping thread (a signal handler) returns
+        at once."""
+        me = threading.get_ident()
         with self._cond:
-            if not self._started:
-                return
-            self._started = False
-            self._stopping = True
-            self._cond.notify_all()
+            running = self._started
+            if running:
+                self._started = False
+                self._stopping = True
+                self._stopper = me
+                self._stopped.clear()
+                self._cond.notify_all()
+        if not running:
+            if self._stopper != me:
+                self._stopped.wait()
+            return
+        try:
+            self._teardown()
+        finally:
+            self._stopped.set()
+
+    def _teardown(self) -> None:
         listener, self._listener = self._listener, None
         if listener is not None:
             # close() alone does not wake a thread blocked in accept();
@@ -522,9 +542,7 @@ class KernelCompileDaemon:
         else:
             self._bump("errors")
             obs.counter("service.errors", kind=result.get("kind", "?"))
-            class _R:     # minimal report shim for the taxonomy check
-                attempts = report_attempts
-            if environment_failure(result.get("error"), _R()):
+            if environment_failure(result.get("error"), report_attempts):
                 self.breaker.record_env_failure(probe=job.is_probe)
             else:
                 self.breaker.record_other(probe=job.is_probe)
@@ -541,21 +559,16 @@ class KernelCompileDaemon:
                      attempts: list) -> dict[str, Any]:
         """Probe the shared artifact store, else compile the generated
         C down the ladder and publish the result."""
-        system = inspect_system()
-        ccs = list(compiler_chain(system))
+        ccs = list(compiler_chain(inspect_system()))
         if not ccs:
             raise PermanentCompileError("no C compiler available")
         disk = default_cache.disk
-        for cc in ccs:
-            for _rung, flags in flag_ladder(cc, job.isas,
-                                            required=job.isas):
-                key = DiskKernelCache.artifact_key(
-                    job.ghash, cc.version, flags, job.isas)
-                if disk.get(key) is not None:
-                    obs.counter("service.compiles", outcome="cached")
-                    return {"ok": True, "outcome": "cached", "key": key,
-                            "compiler": cc.name, "flags": list(flags),
-                            "attempts": 0}
+        for key, cc, flags in ladder_keys(job.ghash, job.isas, ccs):
+            if disk.get(key) is not None:
+                obs.counter("service.compiles", outcome="cached")
+                return {"ok": True, "outcome": "cached", "key": key,
+                        "compiler": cc.name, "flags": list(flags),
+                        "attempts": 0}
         deadline = time.monotonic() + tiered.COMPILE_DEADLINE
         workroot = self._workroot or Path(tempfile.gettempdir())
         workdir = workroot / f"{next(self._build_seq):04d}-{job.name}"
@@ -563,21 +576,9 @@ class KernelCompileDaemon:
             job.c_source, workdir, job.isas, required=job.isas,
             compilers=ccs, name=job.name, attempts=attempts,
             deadline=deadline)
-        blob = so_path.read_bytes()
-        key = DiskKernelCache.artifact_key(job.ghash, cc.version, flags,
-                                           job.isas)
-        meta = {
-            "graph_hash": job.ghash,
-            "symbol": job.symbol,
-            "c_source": job.c_source,
-            "isas": sorted(job.isas),
-            "compiler": cc.name,
-            "compiler_version": cc.version,
-            "flags": list(flags),
-            "created": time.time(),
-            "published_by": f"repro-serve:{os.getpid()}",
-        }
-        disk.put(key, blob, meta)
+        key = publish_artifact(
+            disk, job.ghash, job.isas, cc, flags, so_path, job.symbol,
+            job.c_source, published_by=f"repro-serve:{os.getpid()}")
         shutil.rmtree(workdir, ignore_errors=True)
         obs.counter("service.compiles", outcome="compiled")
         return {"ok": True, "outcome": "compiled", "key": key,

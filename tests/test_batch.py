@@ -9,14 +9,11 @@ fixes riding along:
 
 * an expired compile deadline raises :class:`CompileDeadlineError`
   instead of clamping up and dispatching a doomed remote compile,
-* the hotness countdown promotes exactly once under threaded hammering,
-* :meth:`DiskKernelCache.contains` probes existence without reading
-  artifacts or inflating the ``(hits, recency)`` eviction ranking.
+* the hotness countdown promotes exactly once under threaded hammering.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -24,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import compile_staged
-from repro.core.cache import DiskKernelCache, default_cache, graph_hash
+from repro.core.cache import default_cache, graph_hash
 from repro.core.resilience import clear_session_state
 from repro.core.tiered import SimulatedDispatch
 from repro.lms import forloop, if_then_else
@@ -393,47 +390,3 @@ class TestCountdownRace:
         assert manager.promotions == 1
         dispatch.call_batch([(i,) for i in range(8)])
         assert manager.promotions == 1
-
-
-class TestContainsProbe:
-    def _hits_on_disk(self, cache, key):
-        meta_path = cache._paths(key)[1]
-        return int(json.loads(meta_path.read_text()).get("hits", 0))
-
-    def test_contains_is_stat_only(self, tmp_path):
-        # hit_flush=1: publish every hit immediately so the manifest
-        # read below sees it (write-back batching is covered by
-        # test_cache_crossproc.py::test_hit_writeback_batches)
-        cache = DiskKernelCache(root=tmp_path / "disk", max_entries=8,
-                                hit_flush=1)
-        key = DiskKernelCache.artifact_key("f" * 16, "gcc-13.0",
-                                           ("-O2",), frozenset())
-        cache.put(key, b"\x7fELF-not-really", {"name": "probe_me"})
-        baseline = self._hits_on_disk(cache, key)
-
-        for _ in range(5):
-            assert cache.contains(key) is True
-        assert self._hits_on_disk(cache, key) == baseline
-        assert cache.hits == 0          # probes are not cache hits
-
-        assert cache.get(key) is not None
-        assert self._hits_on_disk(cache, key) == baseline + 1
-
-        assert cache.contains("no-such-key") is False
-
-    def test_artifact_published_never_calls_get(self, fresh_state,
-                                                monkeypatch):
-        from repro.serve.client import ServiceKernelManager
-
-        monkeypatch.setattr(
-            DiskKernelCache, "get",
-            lambda self, key: pytest.fail(
-                "_artifact_published must use the stat-only contains "
-                "probe, not get"))
-        mgr = ServiceKernelManager(
-            socket_path=fresh_state / "no.sock", workers=1)
-        try:
-            assert mgr._artifact_published("0" * 16,
-                                           frozenset()) is False
-        finally:
-            mgr.reset()

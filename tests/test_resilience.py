@@ -23,7 +23,7 @@ from repro.codegen.compiler import (
     flag_ladder,
 )
 import repro.core.resilience as resilience
-from repro.codegen.native import build_native
+from repro.codegen.native import build_native, required_isas
 from repro.core import BackendKind, KernelQuarantinedError, compile_staged
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import (
@@ -346,7 +346,8 @@ class TestSmokeAndQuarantine:
 
     def test_smoke_parent_sleeps_while_child_runs(self, clean_state,
                                                   tmp_path, monkeypatch):
-        artifact = build_native(_staged(29.5, "smoke_idle_k"),
+        staged = _staged(29.5, "smoke_idle_k")
+        artifact = build_native(staged, required_isas(staged),
                                 workdir=tmp_path / "wd")
         # warm the simulator caches the parent uses before forking
         assert resilience.smoke_test_artifact(artifact).status == "passed"
@@ -364,7 +365,8 @@ class TestSmokeAndQuarantine:
 
     def test_smoke_timeout_kills_a_sleeping_child(self, clean_state,
                                                   tmp_path, monkeypatch):
-        artifact = build_native(_staged(31.5, "smoke_hang_k"),
+        staged = _staged(31.5, "smoke_hang_k")
+        artifact = build_native(staged, required_isas(staged),
                                 workdir=tmp_path / "wd")
         monkeypatch.setattr(resilience, "_child_smoke",
                             lambda *args: time.sleep(30) or 0)
@@ -372,6 +374,41 @@ class TestSmokeAndQuarantine:
         verdict = resilience.smoke_test_artifact(artifact, timeout=0.2)
         assert verdict.status == "timeout"
         assert time.monotonic() - start < 5.0
+
+
+@requires_compiler
+class TestIsaResolutionCount:
+    """One acquire resolves the kernel's ISAs once: each resolution
+    rebuilds the whole spec catalog."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list[str]:
+        import repro.codegen.native as native
+
+        calls: list[str] = []
+        real = native.required_isas
+
+        def counting(staged, *args, **kwargs):
+            calls.append(staged.name)
+            return real(staged, *args, **kwargs)
+
+        monkeypatch.setattr(native, "required_isas", counting)
+        monkeypatch.setattr(resilience, "required_isas", counting)
+        return calls
+
+    def test_cold_acquire_resolves_once(self, clean_state, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        _, report = acquire_native(_staged(41.5, "isa_once_cold"))
+        assert report.cache_source == "compiled"
+        assert calls == ["isa_once_cold"]
+
+    def test_disk_hit_resolves_once(self, clean_state, monkeypatch):
+        staged = _staged(43.5, "isa_once_disk")
+        acquire_native(staged)
+        calls = self._count_calls(monkeypatch)
+        _, report = acquire_native(staged)
+        assert report.cache_source == "disk"
+        assert calls == ["isa_once_disk"]
 
 
 @requires_compiler

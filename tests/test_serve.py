@@ -314,6 +314,50 @@ def test_stop_wakes_the_accept_thread(serve_env):
                    for t in threading.enumerate())
 
 
+def test_second_stop_waits_for_the_first(serve_env):
+    """A stop() that finds another thread's stop mid-teardown returns
+    only once the socket and pid file are gone (``main`` after the
+    ``shutdown`` verb); a re-entrant stop() on the stopping thread, as
+    from a signal handler, returns at once."""
+    daemon = KernelCompileDaemon()
+    daemon.start()
+    pid_file = protocol.pid_path(serve_env)
+    KernelCompileDaemon().stop()   # never started: touches nothing
+    assert serve_env.exists() and pid_file.exists()
+    held, release = threading.Event(), threading.Event()
+    listener = daemon._listener
+
+    class HeldListener:
+        def __getattr__(self, name):
+            return getattr(listener, name)
+
+        def shutdown(self, how):
+            daemon.stop()      # re-entrant: must not wait on itself
+            held.set()
+            release.wait(10)
+            listener.shutdown(how)
+
+    daemon._listener = HeldListener()
+    first = threading.Thread(target=daemon.stop, daemon=True)
+    first.start()
+    assert held.wait(5), "a re-entrant stop() waited on its own teardown"
+    left = []
+
+    def second_stop():
+        daemon.stop()
+        left.extend(p.name for p in (serve_env, pid_file) if p.exists())
+
+    second = threading.Thread(target=second_stop, daemon=True)
+    second.start()
+    second.join(0.3)
+    assert second.is_alive(), "the second stop() returned mid-teardown"
+    release.set()
+    second.join(10)
+    first.join(10)
+    assert not second.is_alive() and not first.is_alive()
+    assert left == []
+
+
 def test_clear_session_state_stops_embedded_daemon(serve_env):
     daemon = KernelCompileDaemon()
     daemon.start()
@@ -442,6 +486,42 @@ def test_daemon_killed_mid_request_degrades(serve_env, monkeypatch,
     finally:
         proc.kill()
         proc.wait(timeout=30)
+
+
+@requires_compiler
+@pytest.mark.parametrize("mode", ["require", "auto"])
+def test_service_acquire_resolves_isas_once(serve_env, monkeypatch, mode):
+    """An acquire through a live daemon reads back the artifact the
+    daemon published, resolving the kernel's ISAs once in the client;
+    the daemon takes them from the request."""
+    import repro.codegen.native as native
+    import repro.core.resilience as resilience
+    import repro.serve.client as client_mod
+    from repro.lms.staging import stage_function
+
+    daemon = KernelCompileDaemon()
+    daemon.start()
+    monkeypatch.setenv("REPRO_SERVICE", mode)
+    calls = []
+    real = native.required_isas
+
+    def counting(staged, *args, **kwargs):
+        calls.append(staged.name)
+        return real(staged, *args, **kwargs)
+
+    for module in (native, resilience, client_mod):
+        monkeypatch.setattr(module, "required_isas", counting,
+                            raising=False)
+    staged = stage_function(build_unique(3.25, "srv_isa_once"),
+                            [array_of(FLOAT), INT32], "srv_isa_once")
+    manager = client_mod.ServiceKernelManager(workers=1)
+    try:
+        _, report = manager._acquire(staged, None)
+    finally:
+        manager.reset()
+    assert report.cache_source == "disk"
+    assert request({"verb": "stats"})["counts"]["compiled"] == 1
+    assert calls == ["srv_isa_once"]
 
 
 # -- the multi-tenant contract ----------------------------------------
